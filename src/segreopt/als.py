@@ -102,25 +102,20 @@ def cp_als_regress(op: GaussianDesignOp, y: np.ndarray, r: int, init: CPModel,
     def model() -> CPModel:
         return CPModel.from_factors(weights, factors)
 
-    def residual(m: CPModel) -> float:
-        return float(np.linalg.norm(y - op.apply(m.embed())))
-
     m = model()
-    trace.append(_trace_record(0, m, truth, residual(m), 0.0))
+    trace.append(_trace_record(0, m, truth, float(np.linalg.norm(y - op.apply(m.embed()))), 0.0))
     for sweep in range(iters):
         tic = time.perf_counter()
         for k in range(d):
-            p_k = op.shape[k]
             # coefficient block: design m, column i holds X_m contracted with
             # the other modes' factors of component i
-            coeff = np.empty((n, p_k, r))
-            for i in range(r):
-                coeff[:, :, i] = batched_contract_all_but(
-                    op.designs, [factors[l][:, i] for l in range(d)], k)
-            flat = coeff.reshape(n, p_k * r)
+            (coeff,) = batched_contract_all_but(op.designs, factors, (k,))
+            flat = coeff.reshape(n, -1)
             sol = _solve_psd(flat.T @ flat, flat.T @ y)
-            factors[k], weights = _renormalize(sol.reshape(p_k, r))
+            factors[k], weights = _renormalize(sol.reshape(op.shape[k], r))
+        # the last block solve's fit is the model's image under the operator
+        residual = float(np.linalg.norm(y - flat @ sol))
         wall_ms = (time.perf_counter() - tic) * 1e3
         m = model()
-        trace.append(_trace_record(sweep + 1, m, truth, residual(m), wall_ms))
+        trace.append(_trace_record(sweep + 1, m, truth, residual, wall_ms))
     return model(), trace

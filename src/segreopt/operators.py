@@ -101,9 +101,14 @@ class GaussianDesignOp(MeasurementOp):
                   scale: float = 1.0, replicate: int = 0) -> "GaussianDesignOp":
         """Regenerable operator: entries i.i.d. N(0, scale^2) from the
         ``designs`` substream of ``seed``, then rescaled."""
+        n = int(n)
         rng = substream(seed, "designs", replicate)
-        raw = scale * rng.standard_normal((int(n),) + tuple(shape))
-        op = cls.from_raw(raw, scale=scale, seed=seed)
+        designs = rng.standard_normal((n,) + tuple(shape))
+        # rescale in place, in the order from_raw uses, so that only one stack
+        # is ever alive
+        designs *= scale
+        designs /= np.sqrt(n) * scale
+        op = cls(designs, scale=scale, rescaled=True, seed=seed)
         op._replicate = replicate
         return op
 

@@ -27,7 +27,6 @@ from .manifold import (
     complement_bases,
     project_tangent,
     retract_thosvd,
-    tangent_dim,
     tangent_from_coords,
 )
 from .operators import GaussianDesignOp, IdentityOp, MeasurementOp
@@ -67,6 +66,8 @@ class Problem:
         if y.shape != (self.op.output_dim,):
             raise ValueError(f"observation length {y.shape} does not match operator output "
                              f"{self.op.output_dim}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("observations y contain non-finite values")
         object.__setattr__(self, "y", y)
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
@@ -92,7 +93,11 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
 
     def alpha(self, t: int) -> float:
-        return float(self.step_size(t)) if callable(self.step_size) else float(self.step_size)
+        """Step size of iteration ``t``; a schedule's value is checked like a constant's."""
+        a = float(self.step_size(t)) if callable(self.step_size) else float(self.step_size)
+        if not 0 < a <= 1:
+            raise ValueError(f"step size {a} at iteration {t} does not lie in (0, 1]")
+        return a
 
 
 @dataclass(frozen=True)
@@ -122,8 +127,7 @@ def _rgd_update(state: SolverState, problem: Problem, alpha: float,
     op = problem.op
     embeds = [c.embed() for c in state.model.components]
     total = np.sum(embeds, axis=0)
-    misfit = op.apply(total) - problem.y
-    ambient = op.adjoint(misfit)
+    ambient = op.adjoint(-state.residual)
     new_comps: list[SegrePoint] = []
     for i, point in enumerate(state.model.components):
         if gauss_seidel and i > 0:
@@ -146,22 +150,34 @@ def rgd_step(state: SolverState, problem: Problem, alpha: float,
     return _rgd_update(state, problem, alpha, gauss_seidel)
 
 
-def _design_tangent_matrix(op: GaussianDesignOp, point: SegrePoint,
+def _design_tangent_matrix(vs: list[np.ndarray], i: int, point: SegrePoint,
                            comps: list[np.ndarray]) -> np.ndarray:
     """The n x df matrix of design tensors paired with the tangent basis at
     ``point`` (same column layout as :func:`segreopt.manifold.tangent_basis`),
-    computed by mode contractions instead of materializing basis tensors."""
-    us = point.factors
-    n = op.output_dim
-    cols = np.empty((n, tangent_dim(point.shape)))
-    pos = 1
-    for k in range(point.order):
-        vk = batched_contract_all_but(op.designs, us, k)
-        if k == 0:
-            cols[:, 0] = vk @ us[0]
-        cols[:, pos : pos + comps[k].shape[1]] = vk @ comps[k]
-        pos += comps[k].shape[1]
-    return cols
+    read from column ``i`` of the per-mode contractions ``vs`` of
+    :func:`batched_contract_all_but` instead of materializing basis tensors."""
+    core = vs[0][:, :, i] @ point.factors[0]
+    return np.column_stack([core] + [v[:, :, i] @ q for v, q in zip(vs, comps)])
+
+
+def _fit_tangent(point: SegrePoint, comps: list[np.ndarray], design: np.ndarray,
+                 rhs: np.ndarray, pinv_tol: float) -> np.ndarray:
+    """Ambient tangent tensor of the least-squares fit ``design @ coords ~ rhs``."""
+    gram = design.T @ design
+    b = design.T @ rhs
+    evals, evecs = np.linalg.eigh(gram)
+    cutoff = pinv_tol * max(evals[-1], 0.0)
+    keep = evals > cutoff
+    if not np.any(keep):
+        logger.warning("tangent normal system is numerically zero; returning zero update")
+        return np.zeros(point.shape)
+    if np.count_nonzero(keep) < evals.size:
+        logger.warning(
+            "tangent normal system rank-deficient (%d/%d kept); minimum-norm solution",
+            int(np.count_nonzero(keep)), evals.size,
+        )
+    coords = evecs[:, keep] @ ((evecs[:, keep].T @ b) / evals[keep])
+    return tangent_from_coords(point, comps, coords)
 
 
 def solve_tangent_ls(point: SegrePoint, op: MeasurementOp, rhs: np.ndarray,
@@ -180,22 +196,8 @@ def solve_tangent_ls(point: SegrePoint, op: MeasurementOp, rhs: np.ndarray,
         # P A*A P = P: the tangent projection solves the subproblem exactly.
         return project_tangent(point, rhs.reshape(op.shape))
     comps = complement_bases(point)
-    design = _design_tangent_matrix(op, point, comps)
-    gram = design.T @ design
-    b = design.T @ rhs
-    evals, evecs = np.linalg.eigh(gram)
-    cutoff = pinv_tol * max(evals[-1], 0.0)
-    keep = evals > cutoff
-    if not np.any(keep):
-        logger.warning("tangent normal system is numerically zero; returning zero update")
-        return np.zeros(op.shape)
-    if np.count_nonzero(keep) < evals.size:
-        logger.warning(
-            "tangent normal system rank-deficient (%d/%d kept); minimum-norm solution",
-            int(np.count_nonzero(keep)), evals.size,
-        )
-    coords = evecs[:, keep] @ ((evecs[:, keep].T @ b) / evals[keep])
-    return tangent_from_coords(point, comps, coords)
+    vs = batched_contract_all_but(op.designs, [u[:, None] for u in point.factors], range(point.order))
+    return _fit_tangent(point, comps, _design_tangent_matrix(vs, 0, point, comps), rhs, pinv_tol)
 
 
 def _rgn_update(state: SolverState, problem: Problem, pinv_tol: float,
@@ -205,13 +207,20 @@ def _rgn_update(state: SolverState, problem: Problem, pinv_tol: float,
         # With full observations the Gauss-Newton step coincides with a unit
         # step of gradient descent; share the code path so they match exactly.
         return _rgd_update(state, problem, 1.0, gauss_seidel)
-    embeds = [c.embed() for c in state.model.components]
-    applied = [op.apply(e) for e in embeds]
-    total_applied = np.sum(applied, axis=0)
+    # One pass over the designs yields every component's tangent design
+    # matrix and its image under the operator; under Gauss-Seidel too, since
+    # each design matrix depends only on its own component's starting factors.
+    model = state.model
+    d = len(model.shape)
+    factors = [model.factor_matrix(l) for l in range(d)]
+    vs = batched_contract_all_but(op.designs, factors, range(d))
+    applied = np.einsum("mai,ai->im", vs[0], factors[0]) * model.weights[:, None]
+    total_applied = applied.sum(axis=0)
     new_comps: list[SegrePoint] = []
-    for i, point in enumerate(state.model.components):
+    for i, point in enumerate(model.components):
         rhs = problem.y - (total_applied - applied[i])
-        xi = solve_tangent_ls(point, op, rhs, pinv_tol)
+        comps = complement_bases(point)
+        xi = _fit_tangent(point, comps, _design_tangent_matrix(vs, i, point, comps), rhs, pinv_tol)
         new_point = _retract_component(xi, i)
         new_comps.append(new_point)
         if gauss_seidel:

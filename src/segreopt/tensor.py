@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Iterable
 from functools import reduce
 
 import numpy as np
@@ -139,26 +140,49 @@ def contract_all_but(t: np.ndarray, vectors: list[np.ndarray] | tuple[np.ndarray
     return out
 
 
-def batched_contract_all_but(stack: np.ndarray, vectors: list[np.ndarray] | tuple[np.ndarray, ...],
-                             keep: int) -> np.ndarray:
-    """:func:`contract_all_but` applied to a stack of tensors at once.
+# The stack is streamed in blocks of whole tensors spanning about this many
+# bytes, so that every contraction of a block reads it from cache.
+_BLOCK_BYTES = 2 << 20
 
-    ``stack`` has shape ``(n,) + shape``; the result is ``n x p_keep``.
-    Trailing modes contract as last-axis products (no copies of the stack);
-    leading modes contract jointly through the Kronecker vector, which keeps
-    the big array streaming through one matmul instead of a transpose.
+
+def batched_contract_all_but(stack: np.ndarray, factors: list[np.ndarray] | tuple[np.ndarray, ...],
+                             keep: Iterable[int]) -> list[np.ndarray]:
+    """:func:`contract_all_but` for every tensor of a stack, every column of
+    the factor matrices and every kept mode, reading the stack once.
+
+    ``stack`` has shape ``(n,) + shape`` and ``factors[l]`` is ``p_l x r``.
+    Returns one ``(n, p_k, r)`` array per mode ``k`` in ``keep`` (in that
+    order) whose slice ``[:, :, i]`` contracts every tensor with column ``i``
+    of every other mode's factor matrix.  Per block, mode 0 is kept through
+    one product with the Khatri-Rao matrix of the other modes, and every
+    other kept mode is read off the product of the block with ``factors[0]^T``
+    (r rows), which is ``r / p_0`` the size of the block.
     """
-    d = len(vectors)
-    n = stack.shape[0]
-    out = stack
-    for l in range(d - 1, keep, -1):
-        out = np.tensordot(out, vectors[l], axes=([out.ndim - 1], [0]))
-    if keep > 0:
-        w = vectors[0]
-        for l in range(1, keep):
-            w = np.kron(w, vectors[l])
-        out = np.matmul(w, out.reshape(n, w.size, vectors[keep].size))
-    return out
+    keep = tuple(keep)
+    n, p0 = stack.shape[:2]
+    shape = stack.shape[1:]
+    d = len(shape)
+    r = factors[0].shape[1]
+    rest = stack[0].size // p0
+    outs = [np.empty((n, shape[k], r)) for k in keep]
+    kr = khatri_rao(list(factors[1:])) if 0 in keep else None
+    # einsum over the head: "Y" the block, "Z" the column, one letter per mode
+    modes = "abcdefghijklmnopqrstuvwx"[:d]
+    others = {k: [l for l in range(1, d) if l != k] for k in keep if k > 0}
+    subs = {k: ",".join(["YZ" + modes[1:]] + [modes[l] + "Z" for l in ls]) + f"->Y{modes[k]}Z"
+            for k, ls in others.items()}
+    step = max(1, _BLOCK_BYTES // stack[0].nbytes)
+    for lo in range(0, n, step):
+        block = stack[lo : lo + step]
+        b = block.shape[0]
+        if others:
+            head = np.matmul(factors[0].T, block.reshape(b, p0, rest)).reshape((b, r) + shape[1:])
+        for out, k in zip(outs, keep):
+            if k == 0:
+                out[lo : lo + b] = (block.reshape(b * p0, rest) @ kr).reshape(b, p0, r)
+                continue
+            out[lo : lo + b] = np.einsum(subs[k], head, *(factors[l] for l in others[k]))
+    return outs
 
 
 # -- serialization -----------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from segreopt import tensor as tc
 from segreopt.operators import GaussianDesignOp, IdentityOp, op_from_config
+from segreopt.rng import substream
 
 
 class TestIdentityOp:
@@ -116,6 +117,12 @@ class TestGaussianDesignOp:
         clone = op_from_config(op.to_config())
         assert np.array_equal(clone.designs, op.designs)
         assert clone.scale == op.scale
+
+    def test_seed_matches_raw_rescaling(self):
+        for scale in (1.0, 0.5, 2.3):
+            op = GaussianDesignOp.from_seed(4, (3, 4, 2), 17, scale=scale, replicate=1)
+            raw = scale * substream(4, "designs", 1).standard_normal((17, 3, 4, 2))
+            assert np.array_equal(op.designs, GaussianDesignOp.from_raw(raw, scale=scale).designs)
 
     def test_identity_config_round_trip(self):
         op = IdentityOp((4, 5))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from segreopt import tensor as tc
-from segreopt.harness import ExperimentConfig, gen_instance
-from segreopt.initialization import InitSpec, init_decomposition
+from segreopt.harness import ExperimentConfig, config_from_preset, gen_instance
+from segreopt.initialization import InitSpec, init_decomposition, init_regression
 from segreopt.manifold import (
     CPModel,
     SegrePoint,
@@ -110,6 +110,27 @@ class TestRgdStep:
         state = SolverState.initial(prob, truth)
         with pytest.raises(ValueError):
             rgd_step(state, prob, alpha=1.5)
+
+    def test_step_size_schedule_validated(self):
+        rng = np.random.default_rng(3)
+        truth = orthogonal_model(rng, (4, 4, 4), 1, [2.0])
+        prob = identity_problem(truth)
+        cfg = SolverConfig(method="rgd", step_size=lambda t: 5.0, max_iters=3)
+        with pytest.raises(ValueError, match="step size"):
+            cfg.alpha(0)
+        with pytest.raises(ValueError, match="step size"):
+            run(prob, cfg, perturbed(truth, 0.1, rng))
+        assert SolverConfig(step_size=lambda t: 1.0).alpha(0) == 1.0
+
+
+class TestProblem:
+    def test_non_finite_observations_rejected(self):
+        op = IdentityOp((2, 3))
+        for bad in (np.nan, np.inf, -np.inf):
+            y = np.ones(6)
+            y[4] = bad
+            with pytest.raises(ValueError, match="observations y"):
+                Problem(op=op, y=y, rank=1)
 
 
 class TestTangentLeastSquares:
@@ -235,6 +256,28 @@ class TestRgnStep:
             ratios.append(e1 / e0**2)
         assert len(ratios) >= 15
         assert np.median(ratios) <= 20.0
+
+    def test_regression_matches_per_component_formulation(self):
+        # one step equals fitting each component's leave-one-out residual on
+        # its own tangent space, then retracting, with the operator images
+        # refreshed after each component under Gauss-Seidel
+        cfg = config_from_preset("smoke-regress")
+        prob = gen_instance(cfg, 0)
+        op = prob.op
+        start = init_regression(op, prob.y, cfg.rank, cfg.cpca_split)
+        for gauss_seidel in (False, True):
+            got = rgn_step(SolverState.initial(prob, start), prob, gauss_seidel=gauss_seidel)
+            applied = [op.apply(c.embed()) for c in start.components]
+            total = np.sum(applied, axis=0)
+            for i, point in enumerate(start.components):
+                rhs = prob.y - (total - applied[i])
+                expected = retract_thosvd(solve_tangent_ls(point, op, rhs)).embed()
+                assert tc.fro_norm(got.model.components[i].embed() - expected) <= (
+                    1e-12 * tc.fro_norm(expected))
+                if gauss_seidel:
+                    new = op.apply(expected)
+                    total += new - applied[i]
+                    applied[i] = new
 
     def test_component_annihilation_raises(self):
         # a one-component model whose observation is exactly zero after

@@ -195,16 +195,25 @@ class TestContractions:
                 oracle[idx[keep]] += prod
             assert np.allclose(got, oracle)
 
-    def test_batched_matches_scalar_version(self):
+    def test_batched_matches_scalar_version(self, monkeypatch):
         rng = np.random.default_rng(10)
-        for shape in [(3, 4, 2), (2, 3, 4, 2), (5, 2)]:
-            stack = rng.standard_normal((6,) + shape)
-            vecs = [rng.standard_normal(p) for p in shape]
-            for keep in range(len(shape)):
-                got = tc.batched_contract_all_but(stack, vecs, keep)
-                expected = np.stack([tc.contract_all_but(stack[m], vecs, keep)
-                                     for m in range(6)])
-                assert np.allclose(got, expected, atol=1e-12)
+        for shape, r, n in itertools.product([(5, 2), (3, 4, 2), (2, 3, 4, 2)], [1, 3], [3, 10]):
+            stack = rng.standard_normal((n,) + shape)
+            # blocks of 4 tensors: n=10 ends in a partial block, n=3 fits in one
+            monkeypatch.setattr(tc, "_BLOCK_BYTES", 4 * stack[0].nbytes)
+            factors = [rng.standard_normal((p, r)) for p in shape]
+            d = len(shape)
+            for keep in [tuple(range(d)), (d - 1, 0), (d - 1,)]:
+                got = tc.batched_contract_all_but(stack, factors, keep)
+                assert len(got) == len(keep)
+                for out, k in zip(got, keep):
+                    expected = np.empty((n, shape[k], r))
+                    for m in range(n):
+                        for i in range(r):
+                            expected[m, :, i] = tc.contract_all_but(
+                                stack[m], [f[:, i] for f in factors], k)
+                    assert out.shape == expected.shape
+                    assert np.allclose(out, expected, rtol=0, atol=1e-12)
 
 
 class TestKhatriRao:
