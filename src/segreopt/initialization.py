@@ -217,4 +217,10 @@ def init_regression(op: GaussianDesignOp, y: np.ndarray, r: int,
         raise ValueError("regression initialization needs a Gaussian design operator")
     if not op.rescaled:
         raise ValueError("design operator must be rescaled")
-    return cpca(op.adjoint(y), r, split)
+    y = np.asarray(y, dtype=np.float64)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observations y contain non-finite values")
+    adjoint = op.adjoint(y)
+    if not np.all(np.isfinite(adjoint)):
+        raise ValueError("design tensors contain non-finite values")
+    return cpca(adjoint, r, split)

@@ -9,15 +9,16 @@ tensor has one canonical representative.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tensor import (
     check_tensor,
-    contract_all_but,
     contract_all_modes,
     fro_norm,
+    khatri_rao,
     outer_rank_one,
     unfold,
 )
@@ -25,8 +26,7 @@ from .tensor import (
 logger = logging.getLogger(__name__)
 
 _UNIT_TOL = 1e-6
-_POWER_TOL = 1e-12
-_POWER_MAX_ITERS = 500
+_TIE_TOL = 1e-12
 
 
 class DegenerateInputError(ValueError):
@@ -124,6 +124,33 @@ class CPModel:
         return cls(comps)
 
 
+def tangent_parts(x: np.ndarray, factors: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Factored projections of ``x`` onto the tangent spaces of several points.
+
+    ``factors[k]`` is a ``p_k x r`` matrix whose column ``i`` is the mode-``k``
+    factor of point ``i``.  Returns the ``r`` core coordinates ``c_i`` and one
+    ``p_k x r`` direction matrix per mode, whose column ``i`` is ``h_{k,i}``
+    (orthogonal to ``u_{k,i}``): the projection onto the tangent space at
+    point ``i`` is ``c_i u_0 ⊗ ... ⊗ u_{d-1} + sum_k (u_0, ..., h_k, ...,
+    u_{d-1})``.  One product ``unfold(x, k) @ khatri_rao(other modes)`` per
+    mode serves every point.
+    """
+    d = x.ndim
+    vs = [unfold(x, k) @ khatri_rao([factors[l] for l in range(d) if l != k]) for k in range(d)]
+    cores = np.einsum("ai,ai->i", factors[0], vs[0])
+    hs = [v - u * np.einsum("ai,ai->i", u, v) for u, v in zip(factors, vs)]
+    return cores, hs
+
+
+def embed_tangent(core: float, factors: tuple[np.ndarray, ...],
+                  directions: list[np.ndarray]) -> np.ndarray:
+    """The dense tensor ``core * u_0 ⊗ ... ⊗ u_{d-1} + sum_k (u_0, ..., h_k, ..., u_{d-1})``."""
+    out = outer_rank_one(core, factors)
+    for k, h in enumerate(directions):
+        out += outer_rank_one(1.0, factors[:k] + (h,) + factors[k + 1 :])
+    return out
+
+
 def project_tangent(point: SegrePoint, x: np.ndarray) -> np.ndarray:
     """Orthogonal projection of ``x`` onto the tangent space at ``point``.
 
@@ -136,16 +163,8 @@ def project_tangent(point: SegrePoint, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != point.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs point shape {point.shape}")
-    us = point.factors
-    vs = [contract_all_but(x, us, k) for k in range(point.order)]
-    core = float(np.dot(vs[0], us[0]))
-    out = outer_rank_one(core, us)
-    for k, (u, v) in enumerate(zip(us, vs)):
-        h = v - np.dot(u, v) * u
-        fs = list(us)
-        fs[k] = h
-        out += outer_rank_one(1.0, fs)
-    return out
+    cores, hs = tangent_parts(x, [u[:, None] for u in point.factors])
+    return embed_tangent(float(cores[0]), point.factors, [h[:, 0] for h in hs])
 
 
 def _complement_basis(u: np.ndarray) -> np.ndarray:
@@ -201,47 +220,25 @@ def complement_bases(point: SegrePoint) -> list[np.ndarray]:
     return [_complement_basis(u) for u in point.factors]
 
 
+def directions_from_coords(comps: list[np.ndarray], coords: np.ndarray) -> list[np.ndarray]:
+    """Mode directions ``h_k`` of the tangent vector with the given basis
+    coordinates; its core coordinate is ``coords[0]``."""
+    ends = np.cumsum([1] + [q.shape[1] for q in comps])
+    return [q @ coords[lo:hi] for q, lo, hi in zip(comps, ends[:-1], ends[1:])]
+
+
 def tangent_from_coords(point: SegrePoint, comps: list[np.ndarray], coords: np.ndarray) -> np.ndarray:
     """Ambient tangent tensor with the given basis coordinates.
 
     ``comps`` must come from :func:`complement_bases` (or the matching
     :class:`TangentBasis` construction) for the coordinate layout to agree.
     """
-    us = point.factors
-    out = outer_rank_one(float(coords[0]), us)
-    pos = 1
-    for k, q in enumerate(comps):
-        nk = q.shape[1]
-        h = q @ coords[pos : pos + nk]
-        fs = list(us)
-        fs[k] = h
-        out += outer_rank_one(1.0, fs)
-        pos += nk
-    return out
+    return embed_tangent(float(coords[0]), point.factors, directions_from_coords(comps, coords))
 
 
-def _leading_eigvec(g: np.ndarray) -> np.ndarray:
-    """Dominant eigenvector of a symmetric PSD matrix by power iteration,
-    falling back to a full decomposition when 500 iterations do not reach
-    a 1e-12 successive-iterate change."""
-    p = g.shape[0]
-    if p == 1:
-        return np.ones(1)
-    v = np.zeros(p)
-    v[int(np.argmax(np.diag(g)))] = 1.0
-    for _ in range(_POWER_MAX_ITERS):
-        w = g @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            break
-        w /= nrm
-        if min(np.linalg.norm(w - v), np.linalg.norm(w + v)) <= _POWER_TOL:
-            return w
-        v = w
-    evals, evecs = np.linalg.eigh(g)
-    if p > 1 and evals[-1] - evals[-2] <= 1e-12 * max(evals[-1], 1e-300):
+def _warn_if_tied(top: float, second: float) -> None:
+    if top - second <= _TIE_TOL * max(top, 1e-300):
         logger.warning("leading singular value is (near-)tied; taking the lowest-index vector")
-    return evecs[:, -1]
 
 
 def _sign_fix(u: np.ndarray) -> np.ndarray:
@@ -252,8 +249,10 @@ def _sign_fix(u: np.ndarray) -> np.ndarray:
 
 def leading_singular_vector(m: np.ndarray) -> np.ndarray:
     """Sign-fixed leading left singular vector of a matrix."""
-    g = m @ m.T
-    return _sign_fix(_leading_eigvec(g))
+    evals, evecs = np.linalg.eigh(m @ m.T)
+    if evals.size > 1:
+        _warn_if_tied(evals[-1], evals[-2])
+    return _sign_fix(evecs[:, -1])
 
 
 def retract_thosvd(x: np.ndarray) -> SegrePoint:
@@ -270,6 +269,46 @@ def retract_thosvd(x: np.ndarray) -> SegrePoint:
     if lam == 0.0:
         raise DegenerateInputError("retraction produced a zero weight")
     return SegrePoint(lam, us)
+
+
+def retract_factored(weight: float, factors: tuple[np.ndarray, ...],
+                     directions: list[np.ndarray]) -> SegrePoint:
+    """:func:`retract_thosvd` of ``weight * u_0 ⊗ ... ⊗ u_{d-1} + sum_k
+    (u_0, ..., h_k, ..., u_{d-1})``, without forming that tensor.
+
+    ``factors`` are the unit vectors ``u_k``; each direction ``h_k`` must be
+    orthogonal to its ``u_k``.  In the basis ``(u_k, h_k / ||h_k||)`` the Gram
+    matrix of the mode-``k`` unfolding is ``[[w^2 + s_k, w ||h_k||],
+    [w ||h_k||, ||h_k||^2]]`` with ``s_k = sum_{j != k} ||h_j||^2``, so each new
+    factor is the sign-fixed leading eigenvector of that 2 x 2 matrix.  The new
+    weight is the sum's projection onto the new factors.  A mode with
+    ``h_k = 0`` keeps ``u_k``.
+    """
+    w = float(weight)
+    norms = np.array([np.linalg.norm(h) for h in directions])
+    sq = norms**2
+    total = w * w + sq.sum()  # trace of every mode's Gram matrix
+    if total == 0.0:
+        raise DegenerateInputError("cannot retract the zero tensor")
+    half_gap = 0.5 * total - sq  # half the difference of the diagonal entries
+    off = w * norms
+    for radius in np.hypot(half_gap, off):
+        _warn_if_tied(0.5 * total + radius, 0.5 * total - radius)
+    # the leading eigenvector of [[a, b], [b, c]] is (cos t, sin t) with
+    # t = atan2(2b, a - c) / 2
+    theta = 0.5 * np.arctan2(off, half_gap)
+    us, along, across = [], [], []
+    for u, h, nrm, t in zip(factors, directions, norms, theta):
+        v = _sign_fix(np.cos(t) * u + np.sin(t) * (h / nrm if nrm > 0.0 else h))
+        us.append(v)
+        along.append(float(np.dot(u, v)))
+        across.append(float(np.dot(h, v)))
+    lam = w * math.prod(along)
+    for k, b in enumerate(across):
+        lam += b * math.prod(along[:k] + along[k + 1 :])
+    if lam == 0.0:
+        raise DegenerateInputError("retraction produced a zero weight")
+    return SegrePoint(lam, tuple(us))
 
 
 def incoherence(model: CPModel) -> tuple[list[float], float]:

@@ -25,9 +25,11 @@ from .manifold import (
     SegrePoint,
     align_and_error,
     complement_bases,
+    directions_from_coords,
     project_tangent,
-    retract_thosvd,
+    retract_factored,
     tangent_from_coords,
+    tangent_parts,
 )
 from .operators import GaussianDesignOp, IdentityOp, MeasurementOp
 from .tensor import batched_contract_all_but
@@ -115,9 +117,10 @@ def _residual(problem: Problem, model: CPModel) -> np.ndarray:
     return problem.y - problem.op.apply(model.embed())
 
 
-def _retract_component(cand: np.ndarray, i: int) -> SegrePoint:
+def _retract_component(weight: float, factors: tuple[np.ndarray, ...],
+                       directions: list[np.ndarray], i: int) -> SegrePoint:
     try:
-        return retract_thosvd(cand)
+        return retract_factored(weight, factors, directions)
     except DegenerateInputError as exc:
         raise SolverError(f"update annihilated component {i}: {exc}", component=i) from exc
 
@@ -125,18 +128,20 @@ def _retract_component(cand: np.ndarray, i: int) -> SegrePoint:
 def _rgd_update(state: SolverState, problem: Problem, alpha: float,
                 gauss_seidel: bool) -> SolverState:
     op = problem.op
-    embeds = [c.embed() for c in state.model.components]
-    total = np.sum(embeds, axis=0)
-    ambient = op.adjoint(-state.residual)
+    model = state.model
+    factors = [model.factor_matrix(l) for l in range(len(model.shape))]
+    cores, hs = tangent_parts(op.adjoint(-state.residual), factors)
+    if gauss_seidel:
+        total = model.embed()
     new_comps: list[SegrePoint] = []
-    for i, point in enumerate(state.model.components):
+    for i, point in enumerate(model.components):
         if gauss_seidel and i > 0:
-            ambient = op.adjoint(op.apply(total) - problem.y)
-        g = project_tangent(point, ambient)
-        new_point = _retract_component(embeds[i] - alpha * g, i)
+            cores, hs = tangent_parts(op.adjoint(op.apply(total) - problem.y), factors)
+        new_point = _retract_component(point.weight - alpha * cores[i], point.factors,
+                                       [-alpha * h[:, i] for h in hs], i)
         new_comps.append(new_point)
         if gauss_seidel:
-            total = total - embeds[i] + new_point.embed()
+            total = total - point.embed() + new_point.embed()
     model = CPModel(tuple(new_comps))
     return SolverState(model, state.iteration + 1, _residual(problem, model))
 
@@ -160,9 +165,8 @@ def _design_tangent_matrix(vs: list[np.ndarray], i: int, point: SegrePoint,
     return np.column_stack([core] + [v[:, :, i] @ q for v, q in zip(vs, comps)])
 
 
-def _fit_tangent(point: SegrePoint, comps: list[np.ndarray], design: np.ndarray,
-                 rhs: np.ndarray, pinv_tol: float) -> np.ndarray:
-    """Ambient tangent tensor of the least-squares fit ``design @ coords ~ rhs``."""
+def _fit_tangent(design: np.ndarray, rhs: np.ndarray, pinv_tol: float) -> np.ndarray:
+    """Tangent coordinates of the least-squares fit ``design @ coords ~ rhs``."""
     gram = design.T @ design
     b = design.T @ rhs
     evals, evecs = np.linalg.eigh(gram)
@@ -170,14 +174,13 @@ def _fit_tangent(point: SegrePoint, comps: list[np.ndarray], design: np.ndarray,
     keep = evals > cutoff
     if not np.any(keep):
         logger.warning("tangent normal system is numerically zero; returning zero update")
-        return np.zeros(point.shape)
+        return np.zeros(evals.size)
     if np.count_nonzero(keep) < evals.size:
         logger.warning(
             "tangent normal system rank-deficient (%d/%d kept); minimum-norm solution",
             int(np.count_nonzero(keep)), evals.size,
         )
-    coords = evecs[:, keep] @ ((evecs[:, keep].T @ b) / evals[keep])
-    return tangent_from_coords(point, comps, coords)
+    return evecs[:, keep] @ ((evecs[:, keep].T @ b) / evals[keep])
 
 
 def solve_tangent_ls(point: SegrePoint, op: MeasurementOp, rhs: np.ndarray,
@@ -197,7 +200,8 @@ def solve_tangent_ls(point: SegrePoint, op: MeasurementOp, rhs: np.ndarray,
         return project_tangent(point, rhs.reshape(op.shape))
     comps = complement_bases(point)
     vs = batched_contract_all_but(op.designs, [u[:, None] for u in point.factors], range(point.order))
-    return _fit_tangent(point, comps, _design_tangent_matrix(vs, 0, point, comps), rhs, pinv_tol)
+    coords = _fit_tangent(_design_tangent_matrix(vs, 0, point, comps), rhs, pinv_tol)
+    return tangent_from_coords(point, comps, coords)
 
 
 def _rgn_update(state: SolverState, problem: Problem, pinv_tol: float,
@@ -220,15 +224,18 @@ def _rgn_update(state: SolverState, problem: Problem, pinv_tol: float,
     for i, point in enumerate(model.components):
         rhs = problem.y - (total_applied - applied[i])
         comps = complement_bases(point)
-        xi = _fit_tangent(point, comps, _design_tangent_matrix(vs, i, point, comps), rhs, pinv_tol)
-        new_point = _retract_component(xi, i)
+        coords = _fit_tangent(_design_tangent_matrix(vs, i, point, comps), rhs, pinv_tol)
+        new_point = _retract_component(coords[0], point.factors,
+                                       directions_from_coords(comps, coords), i)
         new_comps.append(new_point)
         if gauss_seidel:
             new_applied = op.apply(new_point.embed())
             total_applied += new_applied - applied[i]
             applied[i] = new_applied
     model = CPModel(tuple(new_comps))
-    return SolverState(model, state.iteration + 1, _residual(problem, model))
+    # under Gauss-Seidel every component's image is already that of the new one
+    residual = problem.y - total_applied if gauss_seidel else _residual(problem, model)
+    return SolverState(model, state.iteration + 1, residual)
 
 
 def rgn_step(state: SolverState, problem: Problem, pinv_tol: float = 1e-10,

@@ -261,6 +261,10 @@ class TestPresets:
         combos = {(c.noise_sd, c.rho) for c in configs}
         assert len(combos) == 9
 
+    def test_unknown_config_key_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            ExperimentConfig.from_dict({"task": "decompose", "bogus": 1})
+
     def test_config_override(self):
         cfg = config_from_preset("smoke-decompose", seed=99, replicates=1)
         assert cfg.seed == 99

@@ -176,6 +176,14 @@ class TestInitRegression:
         b = init_regression(op, y, 2)
         assert np.array_equal(a.weights, b.weights)
 
+    def test_non_finite_designs_rejected(self):
+        op = GaussianDesignOp.from_seed(3, (4, 3, 3), 40)
+        y = op.apply(np.ones(op.shape))
+        for bad in (np.nan, np.inf):
+            op.designs[7, 1, 2, 0] = bad
+            with pytest.raises(ValueError, match="design"):
+                init_regression(op, y, 1)
+
     def test_requires_design_operator(self):
         from segreopt.operators import IdentityOp
         with pytest.raises(ValueError):

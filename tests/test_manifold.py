@@ -1,5 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from segreopt import tensor as tc
 from segreopt.manifold import (
@@ -8,8 +12,10 @@ from segreopt.manifold import (
     SegrePoint,
     align_and_error,
     complement_bases,
+    embed_tangent,
     incoherence,
     project_tangent,
+    retract_factored,
     retract_thosvd,
     tangent_basis,
     tangent_dim,
@@ -220,6 +226,80 @@ class TestRetraction:
     def test_zero_tensor_degenerate(self):
         with pytest.raises(DegenerateInputError):
             retract_thosvd(np.zeros((3, 3, 3)))
+
+
+class TestFactoredRetraction:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.lists(st.integers(1, 7), min_size=2, max_size=4),
+        weight=st.sampled_from(["positive", "negative", "zero"]),
+        zero_modes=st.lists(st.booleans(), min_size=4, max_size=4),
+    )
+    def test_equals_dense_retraction(self, seed, shape, weight, zero_modes):
+        rng = np.random.default_rng(seed)
+        pt = random_point(rng, tuple(shape))
+        w = {"positive": 1.0, "negative": -1.0, "zero": 0.0}[weight] * rng.uniform(0.1, 3.0)
+        hs = []
+        for u, zero in zip(pt.factors, zero_modes):
+            h = rng.standard_normal(u.size) * rng.uniform(0.01, 2.0)
+            h -= np.dot(u, h) * u
+            hs.append(np.zeros(u.size) if zero or u.size == 1 else h)
+        x = embed_tangent(w, pt.factors, hs)
+        assume(tc.fro_norm(x) > 0.0)
+        # the leading singular vectors must be well defined, and the weight
+        # clear of round-off (a zero weight in exact arithmetic is degenerate)
+        for k in range(x.ndim):
+            s = np.linalg.svd(tc.unfold(x, k), compute_uv=False)
+            assume(s.size == 1 or s[1] <= 0.999 * s[0])
+        try:
+            dense = retract_thosvd(x)
+        except DegenerateInputError:
+            assume(False)
+        assume(abs(dense.weight) >= 1e-6 * tc.fro_norm(x))
+        got = retract_factored(w, pt.factors, hs)
+        want = dense.embed()
+        assert tc.fro_norm(got.embed() - want) <= 1e-12 * tc.fro_norm(want)
+
+    def test_zero_input_degenerate(self):
+        rng = np.random.default_rng(40)
+        pt = random_point(rng, (3, 4, 5))
+        with pytest.raises(DegenerateInputError):
+            retract_factored(0.0, pt.factors, [np.zeros(p) for p in pt.shape])
+
+    def test_zero_weight_degenerate_like_dense(self):
+        e1, e2 = np.eye(3)[0], np.eye(3)[1]
+        factors = (e1, e1, e1)
+        hs = [e2, e2, e2]
+        with pytest.raises(DegenerateInputError):
+            retract_thosvd(embed_tangent(0.0, factors, hs))
+        with pytest.raises(DegenerateInputError):
+            retract_factored(0.0, factors, hs)
+
+    def test_zero_direction_keeps_factor(self):
+        rng = np.random.default_rng(41)
+        pt = random_point(rng, (4, 5, 3))
+        h = rng.standard_normal(5)
+        h -= np.dot(pt.factors[1], h) * pt.factors[1]
+        got = retract_factored(pt.weight, pt.factors, [np.zeros(4), h, np.zeros(3)])
+        for k in (0, 2):
+            u = pt.factors[k]
+            assert np.allclose(got.factors[k], u if u[np.argmax(np.abs(u))] > 0 else -u,
+                               rtol=0, atol=1e-15)
+
+    def test_tie_warns_like_dense(self, caplog):
+        e1, e2 = np.eye(3)[0], np.eye(3)[1]
+        factors = (e1, e1)
+        hs = [e2, e2]  # e2 ⊗ e1 + e1 ⊗ e2 has two equal singular values
+        for retract in (lambda: retract_thosvd(embed_tangent(0.0, factors, hs)),
+                        lambda: retract_factored(0.0, factors, hs)):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="segreopt.manifold"):
+                try:
+                    retract()
+                except DegenerateInputError:
+                    pass  # the tied vectors taken may pair to a zero weight
+            assert any("tied" in m for m in caplog.messages)
 
 
 class TestIncoherence:

@@ -122,6 +122,35 @@ class TestRgdStep:
             run(prob, cfg, perturbed(truth, 0.1, rng))
         assert SolverConfig(step_size=lambda t: 1.0).alpha(0) == 1.0
 
+    @pytest.mark.parametrize("preset,gauss_seidel", [
+        ("smoke-decompose", False), ("smoke-regress", False), ("smoke-regress", True),
+    ])
+    def test_matches_dense_formulation(self, preset, gauss_seidel):
+        # one step equals projecting the ambient gradient onto each tangent
+        # space, stepping and retracting the dense tensor, with the gradient
+        # refreshed after each component under Gauss-Seidel
+        cfg = config_from_preset(preset)
+        prob = gen_instance(cfg, 0)
+        op = prob.op
+        if cfg.task == "decompose":
+            start = init_decomposition(prob.y.reshape(cfg.dims), cfg.rank,
+                                       InitSpec(seed=cfg.seed, refine_sweeps=cfg.init_refine_sweeps))
+        else:
+            start = init_regression(op, prob.y, cfg.rank, cfg.cpca_split)
+        state = SolverState.initial(prob, start)
+        alpha = cfg.step_size
+        got = rgd_step(state, prob, alpha, gauss_seidel=gauss_seidel)
+        embeds = [c.embed() for c in start.components]
+        total = np.sum(embeds, axis=0)
+        ambient = op.adjoint(-state.residual)
+        for i, point in enumerate(start.components):
+            if gauss_seidel and i > 0:
+                ambient = op.adjoint(op.apply(total) - prob.y)
+            expected = retract_thosvd(embeds[i] - alpha * project_tangent(point, ambient)).embed()
+            assert tc.fro_norm(got.model.components[i].embed() - expected) <= (
+                1e-12 * tc.fro_norm(expected))
+            total += expected - embeds[i]
+
 
 class TestProblem:
     def test_non_finite_observations_rejected(self):
@@ -267,6 +296,8 @@ class TestRgnStep:
         start = init_regression(op, prob.y, cfg.rank, cfg.cpca_split)
         for gauss_seidel in (False, True):
             got = rgn_step(SolverState.initial(prob, start), prob, gauss_seidel=gauss_seidel)
+            fresh = prob.y - op.apply(got.model.embed())
+            assert np.linalg.norm(got.residual - fresh) <= 1e-12 * np.linalg.norm(fresh)
             applied = [op.apply(c.embed()) for c in start.components]
             total = np.sum(applied, axis=0)
             for i, point in enumerate(start.components):
