@@ -8,14 +8,13 @@ into the component weights so the model invariants hold continuously.
 from __future__ import annotations
 
 import logging
-import math
 import time
 
 import numpy as np
 
-from .manifold import CPModel, align_and_error
+from .manifold import CPModel
 from .operators import GaussianDesignOp
-from .solvers import ConvergenceTrace, SolverError, TraceRecord
+from .solvers import ConvergenceTrace, SolverError, _check_observations, _trace_record
 from .tensor import batched_contract_all_but, check_tensor, fro_norm, khatri_rao, unfold
 
 logger = logging.getLogger(__name__)
@@ -39,21 +38,11 @@ def _solve_psd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(gram) @ rhs
 
 
-def _trace_record(iteration: int, model: CPModel, truth: CPModel | None,
-                  residual: float, wall_ms: float) -> TraceRecord:
-    rel = math.nan
-    comp = math.nan
-    if truth is not None:
-        report = align_and_error(model, truth)
-        rel = report.rel_frobenius_error
-        comp = report.max_component_error
-    return TraceRecord(iteration, rel, comp, residual, wall_ms)
-
-
 def cp_als_decompose(y: np.ndarray, r: int, init: CPModel, iters: int,
                      truth: CPModel | None = None) -> tuple[CPModel, ConvergenceTrace]:
     """ALS for the full-observation problem ``min ||y - sum_i T_i||``."""
     y = check_tensor(y)
+    _check_observations(y)
     if init.rank != r or init.shape != y.shape:
         raise ValueError("init does not match the requested rank/shape")
     d = y.ndim
@@ -93,6 +82,7 @@ def cp_als_regress(op: GaussianDesignOp, y: np.ndarray, r: int, init: CPModel,
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (op.output_dim,):
         raise ValueError("observation length does not match the operator")
+    _check_observations(y)
     d = len(op.shape)
     n = op.output_dim
     weights = init.weights.copy()

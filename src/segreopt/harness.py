@@ -61,6 +61,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in ("decompose", "regress"):
             raise ValueError(f"unknown task {self.task!r}")
+        if self.rank < 1:
+            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        if self.n_samples is not None and self.n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        if self.design_scale <= 0:
+            raise ValueError(f"design_scale must be positive, got {self.design_scale}")
         if self.rho is not None and not 0 <= self.rho < 1:
             raise ValueError("coherence must lie in [0, 1)")
         if self.weight_law not in ("unif-scaled", "geometric-kappa"):

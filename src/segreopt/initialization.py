@@ -20,6 +20,7 @@ from .manifold import (
 )
 from .operators import GaussianDesignOp
 from .rng import substream
+from .solvers import _check_observations
 from .tensor import check_tensor, contract_all_modes, fro_norm, unfold
 
 logger = logging.getLogger(__name__)
@@ -47,24 +48,6 @@ class InitSpec:
             raise ValueError(f"unknown init method {self.method!r}")
         if self.refine_sweeps < 0:
             raise ValueError("refine_sweeps must be >= 0")
-
-    def to_config(self) -> dict:
-        return {
-            "method": self.method,
-            "seed": int(self.seed),
-            "cpca_split": list(self.cpca_split) if self.cpca_split is not None else None,
-            "refine_sweeps": self.refine_sweeps,
-        }
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "InitSpec":
-        split = cfg.get("cpca_split")
-        return cls(
-            method=cfg.get("method", "random"),
-            seed=int(cfg.get("seed", 0)),
-            cpca_split=tuple(split) if split is not None else None,
-            refine_sweeps=int(cfg.get("refine_sweeps", 0)),
-        )
 
 
 def choose_split(shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -215,11 +198,8 @@ def init_regression(op: GaussianDesignOp, y: np.ndarray, r: int,
     ``sum_m y_m X̃_m`` of the (rescaled) observations."""
     if not isinstance(op, GaussianDesignOp):
         raise ValueError("regression initialization needs a Gaussian design operator")
-    if not op.rescaled:
-        raise ValueError("design operator must be rescaled")
     y = np.asarray(y, dtype=np.float64)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observations y contain non-finite values")
+    _check_observations(y)
     adjoint = op.adjoint(y)
     if not np.all(np.isfinite(adjoint)):
         raise ValueError("design tensors contain non-finite values")

@@ -308,6 +308,8 @@ def retract_factored(weight: float, factors: tuple[np.ndarray, ...],
         lam += b * math.prod(along[:k] + along[k + 1 :])
     if lam == 0.0:
         raise DegenerateInputError("retraction produced a zero weight")
+    if not math.isfinite(lam):
+        raise DegenerateInputError(f"retraction produced a non-finite weight {lam}")
     return SegrePoint(lam, tuple(us))
 
 

@@ -3,11 +3,13 @@
 Two kinds are supported: the identity (full observation, decomposition) and
 a Gaussian design (regression, one inner product per design tensor).
 
-Scaling convention: design tensors are divided by ``sqrt(n) * scale`` at
-construction (``rescaled=True``), which makes the adjoint the literal
-transpose pairing ``sum_m y_m X̃_m`` and folds the usual ``1/(n sigma^2)``
-factor into the composition ``adjoint(apply(.))`` automatically.  Observation
-vectors must be rescaled the same way by the caller.
+Scaling convention: a design operator stores its tensors divided by
+``sqrt(n) * scale`` (:meth:`GaussianDesignOp.from_raw` and
+:meth:`GaussianDesignOp.from_seed` apply it), which makes the adjoint the
+literal transpose pairing ``sum_m y_m X̃_m`` and folds the usual
+``1/(n sigma^2)`` factor into the composition ``adjoint(apply(.))``
+automatically.  Observation vectors must be rescaled the same way by the
+caller.
 """
 
 from __future__ import annotations
@@ -28,10 +30,6 @@ class MeasurementOp:
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def normal_apply(self, t: np.ndarray) -> np.ndarray:
-        """``adjoint(apply(t))``; subclasses shortcut when profitable."""
-        return self.adjoint(self.apply(t))
 
     def _check_tensor(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
@@ -59,48 +57,37 @@ class IdentityOp(MeasurementOp):
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return self._check_vector(y).reshape(self.shape)
 
-    def normal_apply(self, t: np.ndarray) -> np.ndarray:
-        return self._check_tensor(t)
-
-    def to_config(self) -> dict:
-        return {"kind": "identity", "shape": list(self.shape)}
-
 
 class GaussianDesignOp(MeasurementOp):
     """Inner products against ``n`` dense Gaussian design tensors.
 
-    ``designs`` are stored pre-divided by ``sqrt(n) * scale``; construct via
-    :meth:`from_raw` or :meth:`from_seed` to get that rescaling applied.
-    Operators built with ``rescaled=False`` keep raw designs and do not form
-    a true adjoint pair; the solvers refuse them.
+    ``designs`` are taken as already divided by ``sqrt(n) * scale``; construct
+    via :meth:`from_raw` or :meth:`from_seed` to get that rescaling applied.
     """
 
-    def __init__(self, designs: np.ndarray, scale: float = 1.0, rescaled: bool = True,
-                 seed: int | None = None):
+    def __init__(self, designs: np.ndarray):
         designs = np.asarray(designs, dtype=np.float64)
         if designs.ndim < 3:
             raise ValueError("designs must stack n tensors of order >= 2")
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
         self.designs = designs
-        self.scale = float(scale)
-        self.rescaled = bool(rescaled)
-        self.seed = seed
         self.shape = designs.shape[1:]
         self.output_dim = designs.shape[0]
 
     @classmethod
-    def from_raw(cls, raw_designs: np.ndarray, scale: float = 1.0,
-                 seed: int | None = None) -> "GaussianDesignOp":
+    def from_raw(cls, raw_designs: np.ndarray, scale: float = 1.0) -> "GaussianDesignOp":
+        if scale <= 0:
+            raise ValueError(f"scale must be positive, got {scale}")
         raw_designs = np.asarray(raw_designs, dtype=np.float64)
         n = raw_designs.shape[0]
-        return cls(raw_designs / (np.sqrt(n) * scale), scale=scale, rescaled=True, seed=seed)
+        return cls(raw_designs / (np.sqrt(n) * scale))
 
     @classmethod
     def from_seed(cls, seed: int, shape: tuple[int, ...], n: int,
                   scale: float = 1.0, replicate: int = 0) -> "GaussianDesignOp":
         """Regenerable operator: entries i.i.d. N(0, scale^2) from the
         ``designs`` substream of ``seed``, then rescaled."""
+        if scale <= 0:
+            raise ValueError(f"scale must be positive, got {scale}")
         n = int(n)
         rng = substream(seed, "designs", replicate)
         designs = rng.standard_normal((n,) + tuple(shape))
@@ -108,11 +95,7 @@ class GaussianDesignOp(MeasurementOp):
         # is ever alive
         designs *= scale
         designs /= np.sqrt(n) * scale
-        op = cls(designs, scale=scale, rescaled=True, seed=seed)
-        op._replicate = replicate
-        return op
-
-    _replicate = 0
+        return cls(designs)
 
     def apply(self, t: np.ndarray) -> np.ndarray:
         t = self._check_tensor(t)
@@ -121,27 +104,3 @@ class GaussianDesignOp(MeasurementOp):
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         y = self._check_vector(y)
         return (y @ self.designs.reshape(self.output_dim, -1)).reshape(self.shape)
-
-    def to_config(self) -> dict:
-        if self.seed is None:
-            raise ValueError("only seed-constructed design operators serialize")
-        return {
-            "kind": "gaussian",
-            "seed": int(self.seed),
-            "replicate": int(self._replicate),
-            "shape": list(self.shape),
-            "n": int(self.output_dim),
-            "scale": self.scale,
-        }
-
-
-def op_from_config(cfg: dict) -> MeasurementOp:
-    kind = cfg.get("kind")
-    if kind == "identity":
-        return IdentityOp(tuple(cfg["shape"]))
-    if kind == "gaussian":
-        return GaussianDesignOp.from_seed(
-            cfg["seed"], tuple(cfg["shape"]), cfg["n"],
-            scale=cfg.get("scale", 1.0), replicate=cfg.get("replicate", 0),
-        )
-    raise ValueError(f"unknown operator kind {kind!r}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import math
 import time
@@ -31,7 +30,7 @@ from .manifold import (
     tangent_from_coords,
     tangent_parts,
 )
-from .operators import GaussianDesignOp, IdentityOp, MeasurementOp
+from .operators import IdentityOp, MeasurementOp
 from .tensor import batched_contract_all_but
 
 logger = logging.getLogger(__name__)
@@ -53,6 +52,11 @@ class SolverError(RuntimeError):
         self.trace = trace
 
 
+def _check_observations(y: np.ndarray) -> None:
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observations y contain non-finite values")
+
+
 @dataclass(frozen=True)
 class Problem:
     """One recovery instance: operator, observations, target rank, and an
@@ -68,13 +72,10 @@ class Problem:
         if y.shape != (self.op.output_dim,):
             raise ValueError(f"observation length {y.shape} does not match operator output "
                              f"{self.op.output_dim}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("observations y contain non-finite values")
+        _check_observations(y)
         object.__setattr__(self, "y", y)
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
-        if isinstance(self.op, GaussianDesignOp) and not self.op.rescaled:
-            raise ValueError("solvers require a rescaled design operator")
 
 
 @dataclass(frozen=True)
@@ -122,11 +123,15 @@ def _retract_component(weight: float, factors: tuple[np.ndarray, ...],
     try:
         return retract_factored(weight, factors, directions)
     except DegenerateInputError as exc:
-        raise SolverError(f"update annihilated component {i}: {exc}", component=i) from exc
+        raise SolverError(f"update of component {i} failed: {exc}", component=i) from exc
 
 
-def _rgd_update(state: SolverState, problem: Problem, alpha: float,
-                gauss_seidel: bool) -> SolverState:
+def rgd_step(state: SolverState, problem: Problem, alpha: float,
+             gauss_seidel: bool = False) -> SolverState:
+    """One gradient step: project the ambient gradient of the squared misfit
+    onto each component's tangent space, step, retract."""
+    if not 0 < alpha <= 1:
+        raise ValueError("step size must lie in (0, 1]")
     op = problem.op
     model = state.model
     factors = [model.factor_matrix(l) for l in range(len(model.shape))]
@@ -144,15 +149,6 @@ def _rgd_update(state: SolverState, problem: Problem, alpha: float,
             total = total - point.embed() + new_point.embed()
     model = CPModel(tuple(new_comps))
     return SolverState(model, state.iteration + 1, _residual(problem, model))
-
-
-def rgd_step(state: SolverState, problem: Problem, alpha: float,
-             gauss_seidel: bool = False) -> SolverState:
-    """One gradient step: project the ambient gradient of the squared misfit
-    onto each component's tangent space, step, retract."""
-    if not 0 < alpha <= 1:
-        raise ValueError("step size must lie in (0, 1]")
-    return _rgd_update(state, problem, alpha, gauss_seidel)
 
 
 def _design_tangent_matrix(vs: list[np.ndarray], i: int, point: SegrePoint,
@@ -204,13 +200,15 @@ def solve_tangent_ls(point: SegrePoint, op: MeasurementOp, rhs: np.ndarray,
     return tangent_from_coords(point, comps, coords)
 
 
-def _rgn_update(state: SolverState, problem: Problem, pinv_tol: float,
-                gauss_seidel: bool) -> SolverState:
+def rgn_step(state: SolverState, problem: Problem, pinv_tol: float = 1e-10,
+             gauss_seidel: bool = False) -> SolverState:
+    """One Gauss-Newton step: each component is replaced by the retracted
+    tangent-space least-squares fit of its leave-one-out residual."""
     op = problem.op
     if isinstance(op, IdentityOp):
         # With full observations the Gauss-Newton step coincides with a unit
         # step of gradient descent; share the code path so they match exactly.
-        return _rgd_update(state, problem, 1.0, gauss_seidel)
+        return rgd_step(state, problem, 1.0, gauss_seidel)
     # One pass over the designs yields every component's tangent design
     # matrix and its image under the operator; under Gauss-Seidel too, since
     # each design matrix depends only on its own component's starting factors.
@@ -238,13 +236,6 @@ def _rgn_update(state: SolverState, problem: Problem, pinv_tol: float,
     return SolverState(model, state.iteration + 1, residual)
 
 
-def rgn_step(state: SolverState, problem: Problem, pinv_tol: float = 1e-10,
-             gauss_seidel: bool = False) -> SolverState:
-    """One Gauss-Newton step: each component is replaced by the retracted
-    tangent-space least-squares fit of its leave-one-out residual."""
-    return _rgn_update(state, problem, pinv_tol, gauss_seidel)
-
-
 @dataclass(frozen=True)
 class TraceRecord:
     iteration: int
@@ -252,7 +243,6 @@ class TraceRecord:
     max_comp_err: float
     residual: float
     wall_ms: float
-    sign_aligned: bool = True  # monitored only; not part of the CSV contract
 
 
 @dataclass
@@ -276,61 +266,58 @@ class ConvergenceTrace:
                         repr(r.residual), repr(r.wall_ms)])
         return buf.getvalue()
 
-    def to_json(self) -> str:
-        return json.dumps([
-            {"iter": r.iteration, "rel_fro_err": r.rel_fro_err, "max_comp_err": r.max_comp_err,
-             "residual": r.residual, "wall_ms": r.wall_ms}
-            for r in self.records
-        ])
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(self.to_csv())
 
 
-def _trace_record(state: SolverState, truth: CPModel | None, wall_ms: float) -> TraceRecord:
+def _trace_record(iteration: int, model: CPModel, truth: CPModel | None,
+                  residual: float, wall_ms: float) -> TraceRecord:
     rel = math.nan
     comp = math.nan
-    aligned = True
     if truth is not None:
-        report = align_and_error(state.model, truth)
+        report = align_and_error(model, truth)
         rel = report.rel_frobenius_error
         comp = report.max_component_error
-        aligned = all(s == 1 for s in report.sign_flips)
-    return TraceRecord(
-        iteration=state.iteration,
-        rel_fro_err=rel,
-        max_comp_err=comp,
-        residual=float(np.linalg.norm(state.residual)),
-        wall_ms=wall_ms,
-        sign_aligned=aligned,
-    )
+    return TraceRecord(iteration, rel, comp, residual, wall_ms)
+
+
+def _record(trace: ConvergenceTrace, state: SolverState, truth: CPModel | None,
+            wall_ms: float) -> float:
+    """Append ``state``'s trace row and return its residual norm; a
+    non-finite norm ends the run with the trace so far."""
+    res = float(np.linalg.norm(state.residual))
+    trace.append(_trace_record(state.iteration, state.model, truth, res, wall_ms))
+    if not math.isfinite(res):
+        raise SolverError(f"residual norm is {res} at iteration {state.iteration}; "
+                          "the iteration diverged", trace=trace)
+    return res
 
 
 def run(problem: Problem, config: SolverConfig, init: CPModel) -> tuple[CPModel, ConvergenceTrace]:
     """Iterate the configured solver from ``init`` until ``max_iters`` or the
-    relative residual change drops below ``stop_tol``."""
+    relative residual change drops below ``stop_tol``.  Raises
+    :class:`SolverError`, carrying the trace so far, if an update degenerates
+    or the residual norm stops being finite."""
     if init.rank != problem.rank:
         raise ValueError(f"init rank {init.rank} does not match problem rank {problem.rank}")
     if init.shape != problem.op.shape:
         raise ValueError(f"init shape {init.shape} does not match operator shape {problem.op.shape}")
     state = SolverState.initial(problem, init)
     trace = ConvergenceTrace()
-    trace.append(_trace_record(state, problem.truth, 0.0))
-    prev_res = float(np.linalg.norm(state.residual))
+    prev_res = _record(trace, state, problem.truth, 0.0)
     for t in range(config.max_iters):
         tic = time.perf_counter()
         try:
             if config.method == "rgd":
-                state = _rgd_update(state, problem, config.alpha(t), config.gauss_seidel)
+                state = rgd_step(state, problem, config.alpha(t), config.gauss_seidel)
             else:
-                state = _rgn_update(state, problem, config.pinv_tol, config.gauss_seidel)
+                state = rgn_step(state, problem, config.pinv_tol, config.gauss_seidel)
         except SolverError as exc:
             exc.trace = trace
             raise
         wall_ms = (time.perf_counter() - tic) * 1e3
-        trace.append(_trace_record(state, problem.truth, wall_ms))
-        res = float(np.linalg.norm(state.residual))
+        res = _record(trace, state, problem.truth, wall_ms)
         if res == 0.0 or abs(res - prev_res) < config.stop_tol * max(prev_res, 1e-300):
             break
         prev_res = res

@@ -15,14 +15,10 @@ Conventions (used everywhere in this package):
 
 from __future__ import annotations
 
-import json
-import struct
 from collections.abc import Iterable
 from functools import reduce
 
 import numpy as np
-
-_BINARY_MAGIC = b"DTEN"
 
 
 def check_tensor(t: np.ndarray) -> np.ndarray:
@@ -75,17 +71,6 @@ def refold(m: np.ndarray, mode: int, shape: tuple[int, ...]) -> np.ndarray:
     if m.shape != (shape[mode], int(np.prod(rest, dtype=np.int64))):
         raise ValueError(f"matrix shape {m.shape} does not match unfolding of {shape}")
     return np.moveaxis(m.reshape((shape[mode],) + rest), 0, mode)
-
-
-def mode_multiply(t: np.ndarray, mode: int, m: np.ndarray) -> np.ndarray:
-    """Mode-``mode`` product ``t x_mode m``: ``unfold(result, mode) = m @ unfold(t, mode)``."""
-    t = np.asarray(t)
-    m = np.asarray(m)
-    if not 0 <= mode < t.ndim:
-        raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
-    if m.ndim != 2 or m.shape[1] != t.shape[mode]:
-        raise ValueError(f"matrix shape {m.shape} incompatible with mode size {t.shape[mode]}")
-    return np.moveaxis(np.tensordot(m, t, axes=([1], [mode])), 0, mode)
 
 
 def inner(t: np.ndarray, s: np.ndarray) -> float:
@@ -184,46 +169,3 @@ def batched_contract_all_but(stack: np.ndarray, factors: list[np.ndarray] | tupl
             out[lo : lo + b] = np.einsum(subs[k], head, *(factors[l] for l in others[k]))
     return outs
 
-
-# -- serialization -----------------------------------------------------------
-#
-# JSON form: {"shape": [p_0, ..., p_{d-1}], "data": [...]} with data in C order.
-# Binary form: b"DTEN" | uint32 d | d * uint32 shape | float64 data,
-# little-endian, data in C order.
-
-
-def tensor_to_json(t: np.ndarray) -> str:
-    t = check_tensor(t)
-    return json.dumps({"shape": list(t.shape), "data": t.ravel().tolist()})
-
-
-def tensor_from_json(s: str) -> np.ndarray:
-    obj = json.loads(s)
-    shape = tuple(int(p) for p in obj["shape"])
-    data = np.asarray(obj["data"], dtype=np.float64)
-    if data.size != int(np.prod(shape, dtype=np.int64)):
-        raise ValueError("data length does not match shape")
-    return check_tensor(data.reshape(shape))
-
-
-def save_tensor(t: np.ndarray, path: str) -> None:
-    """Write the binary form (see module docstring for the layout)."""
-    t = check_tensor(t)
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<I", t.ndim))
-        fh.write(struct.pack(f"<{t.ndim}I", *t.shape))
-        fh.write(t.ravel().astype("<f8").tobytes())
-
-
-def load_tensor(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BINARY_MAGIC:
-            raise ValueError(f"not a tensor file (bad magic {magic!r})")
-        (d,) = struct.unpack("<I", fh.read(4))
-        shape = struct.unpack(f"<{d}I", fh.read(4 * d))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != int(np.prod(shape, dtype=np.int64)):
-        raise ValueError("truncated tensor file")
-    return check_tensor(data.reshape(shape).copy())

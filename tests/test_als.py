@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from segreopt.als import cp_als_decompose, cp_als_regress
 from segreopt.initialization import InitSpec, init_decomposition
@@ -92,3 +93,21 @@ class TestRegress:
         model, trace = cp_als_regress(op, y, 1, init, 0)
         assert len(trace.records) == 1
         assert align_and_error(model, init).max_component_error <= 1e-12
+
+
+@pytest.mark.parametrize("task", ["decompose", "regress"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_observations_rejected(task, bad):
+    rng = np.random.default_rng(20)
+    shape = (3, 3, 2)
+    init = orthogonal_model(rng, shape, 1, [1.0])
+    with pytest.raises(ValueError, match="observations y"):
+        if task == "decompose":
+            y = rng.standard_normal(shape)
+            y[1, 2, 0] = bad
+            cp_als_decompose(y, 1, init, 2)
+        else:
+            op = GaussianDesignOp.from_raw(rng.standard_normal((20,) + shape))
+            y = rng.standard_normal(20)
+            y[7] = bad
+            cp_als_regress(op, y, 1, init, 2)

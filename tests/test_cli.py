@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import segreopt
 from segreopt.cli import main
 
 
@@ -65,3 +66,10 @@ def test_bench_expands_grid(tmp_path):
 def test_missing_preset_and_config_errors(tmp_path):
     with pytest.raises(SystemExit):
         main(["decompose", "--out", str(tmp_path / "x")])
+
+
+def test_package_exports_resolve():
+    names = segreopt.__all__
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)
+    assert [n for n in names if not hasattr(segreopt, n)] == []

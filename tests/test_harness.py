@@ -73,7 +73,6 @@ class TestGenInstance:
                                noise_sd=0.5, seed=2)
         prob = gen_instance(cfg, 1)
         assert isinstance(prob.op, GaussianDesignOp)
-        assert prob.op.rescaled
         assert prob.y.shape == (50,)
         assert prob.truth.rank == 2
 
@@ -211,6 +210,28 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["failures"][0]["method"] == "rgn"
 
+    def test_divergence_recorded_as_replicate_failure(self, monkeypatch, tmp_path):
+        import dataclasses
+
+        import segreopt.harness as hz
+
+        real = hz.gen_instance
+        def blown_up(config, replicate=0):
+            prob = real(config, replicate)
+            return dataclasses.replace(prob, y=1e160 * prob.y) if replicate == 0 else prob
+
+        monkeypatch.setattr(hz, "gen_instance", blown_up)
+        cfg = self._smoke_config(replicates=2, init_refine_sweeps=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = hz.run_experiment(cfg, tmp_path / "o")
+        assert [(f["method"], f["replicate"]) for f in s.failures] == [("rgd", 0), ("rgn", 0)]
+        assert all("diverged" in f["message"] for f in s.failures)
+        for method in cfg.methods:
+            assert len(s.traces[method][0].records) == 1
+            assert len(s.traces[method][1].records) > 1
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert len(manifest["failures"]) == 2
+
     def test_all_replicates_failing_raises(self, monkeypatch):
         import segreopt.harness as hz
         from segreopt.solvers import SolverError
@@ -260,6 +281,12 @@ class TestPresets:
         assert len(configs) == 9
         combos = {(c.noise_sd, c.rho) for c in configs}
         assert len(combos) == 9
+
+    @pytest.mark.parametrize("field, value", [("n_samples", 0), ("n_samples", -3), ("rank", 0),
+                                              ("design_scale", 0.0), ("design_scale", -1.0)])
+    def test_out_of_range_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(task="regress", dims=(4, 4, 4), **{field: value})
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ValueError, match="bogus"):

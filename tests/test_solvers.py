@@ -213,7 +213,7 @@ class TestTangentLeastSquares:
         pt = random_point(rng, (3, 3))
         # two identical designs cannot span the 5-dim tangent space
         x = rng.standard_normal((1,) + pt.shape)
-        op = GaussianDesignOp(np.repeat(x, 2, axis=0), rescaled=True)
+        op = GaussianDesignOp(np.repeat(x, 2, axis=0))
         import logging
         with caplog.at_level(logging.WARNING, logger="segreopt.solvers"):
             xi = solve_tangent_ls(pt, op, np.ones(2))
@@ -391,9 +391,25 @@ class TestRun:
         lines = path.read_text().splitlines()
         assert lines[0] == "iter,rel_fro_err,max_comp_err,residual,wall_ms"
         assert len(lines) == len(trace.records) + 1
-        import json
-        rows = json.loads(trace.to_json())
-        assert set(rows[0].keys()) == {"iter", "rel_fro_err", "max_comp_err", "residual", "wall_ms"}
+
+    @pytest.mark.parametrize("method", ["rgd", "rgn"])
+    def test_divergence_raises_solver_error(self, method):
+        # observations so large that the residual norm overflows
+        rng = np.random.default_rng(0)
+        y = 1e160 * rng.standard_normal(64)
+        prob = Problem(op=IdentityOp((4, 4, 4)), y=y, rank=2)
+        init = init_decomposition(y.reshape(4, 4, 4), 2, InitSpec(seed=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverError, match="diverged") as exc_info:
+                run(prob, SolverConfig(method=method), init)
+            assert len(exc_info.value.trace.records) == 1
+            # the step itself overflows inside the retraction
+            state = SolverState.initial(prob, init)
+            with pytest.raises(SolverError, match="non-finite weight"):
+                if method == "rgd":
+                    rgd_step(state, prob, 0.2)
+                else:
+                    rgn_step(state, prob)
 
     def test_rank_mismatch_rejected(self):
         rng = np.random.default_rng(17)

@@ -81,61 +81,6 @@ class TestUnfold:
         assert np.array_equal(tc.refold(tc.unfold(t, mode), mode, tuple(shape)), t)
 
 
-class TestModeMultiply:
-    def test_identity_leaves_input(self):
-        rng = np.random.default_rng(1)
-        t = random_tensor(rng, (3, 4, 2))
-        for mode, p in enumerate(t.shape):
-            assert np.allclose(tc.mode_multiply(t, mode, np.eye(p)), t)
-
-    def test_rank_one_multilinearity(self):
-        rng = np.random.default_rng(2)
-        factors = [rng.standard_normal(p) for p in (3, 4, 2)]
-        t = tc.outer_rank_one(1.5, factors)
-        m = rng.standard_normal((5, 4))
-        expected = tc.outer_rank_one(1.5, [factors[0], m @ factors[1], factors[2]])
-        assert np.allclose(tc.mode_multiply(t, 1, m), expected)
-
-    def test_commutation_across_modes(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            t = random_tensor(rng, (3, 4, 2))
-            a = rng.standard_normal((3, 3))
-            b = rng.standard_normal((5, 4))
-            left = tc.mode_multiply(tc.mode_multiply(t, 0, a), 1, b)
-            right = tc.mode_multiply(tc.mode_multiply(t, 1, b), 0, a)
-            # oracle by direct loops
-            oracle = np.zeros((3, 5, 2))
-            for i in range(3):
-                for j in range(5):
-                    for k in range(2):
-                        oracle[i, j, k] = sum(
-                            a[i, ii] * b[j, jj] * t[ii, jj, k]
-                            for ii in range(3) for jj in range(4)
-                        )
-            assert np.allclose(left, right)
-            assert np.allclose(left, oracle)
-
-    def test_unfold_consistency(self):
-        rng = np.random.default_rng(4)
-        t = random_tensor(rng, (3, 4, 2))
-        m = rng.standard_normal((6, 4))
-        assert np.allclose(tc.unfold(tc.mode_multiply(t, 1, m), 1), m @ tc.unfold(t, 1))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            tc.mode_multiply(np.zeros((2, 3)), 0, np.zeros((4, 5)))
-
-    def test_linearity(self):
-        rng = np.random.default_rng(5)
-        a = random_tensor(rng, (3, 4, 2))
-        b = random_tensor(rng, (3, 4, 2))
-        m = rng.standard_normal((5, 4))
-        lhs = tc.mode_multiply(2.0 * a + 3.0 * b, 1, m)
-        rhs = 2.0 * tc.mode_multiply(a, 1, m) + 3.0 * tc.mode_multiply(b, 1, m)
-        assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-
 class TestInner:
     def test_all_ones(self):
         t = np.ones((2, 2, 2))
@@ -228,27 +173,6 @@ class TestKhatriRao:
     def test_column_count_mismatch(self):
         with pytest.raises(ValueError):
             tc.khatri_rao([np.zeros((2, 2)), np.zeros((3, 4))])
-
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(12)
-        t = random_tensor(rng, (3, 2, 4))
-        back = tc.tensor_from_json(tc.tensor_to_json(t))
-        assert np.array_equal(back, t)
-
-    def test_binary_round_trip(self, tmp_path):
-        rng = np.random.default_rng(13)
-        t = random_tensor(rng, (4, 5, 2, 3))
-        path = tmp_path / "t.ten"
-        tc.save_tensor(t, path)
-        assert np.array_equal(tc.load_tensor(path), t)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.ten"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            tc.load_tensor(path)
 
 
 def test_check_tensor_rejects_vectors():
