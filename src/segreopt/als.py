@@ -14,7 +14,7 @@ import numpy as np
 
 from .manifold import CPModel
 from .operators import GaussianDesignOp
-from .solvers import ConvergenceTrace, SolverError, _check_observations, _trace_record
+from .solvers import ConvergenceTrace, SolverError, _check_observations, _record
 from .tensor import batched_contract_all_but, check_tensor, fro_norm, khatri_rao, unfold
 
 logger = logging.getLogger(__name__)
@@ -38,11 +38,20 @@ def _solve_psd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(gram) @ rhs
 
 
+def _check_iters(iters: int) -> None:
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
+
+
 def cp_als_decompose(y: np.ndarray, r: int, init: CPModel, iters: int,
                      truth: CPModel | None = None) -> tuple[CPModel, ConvergenceTrace]:
-    """ALS for the full-observation problem ``min ||y - sum_i T_i||``."""
+    """ALS for the full-observation problem ``min ||y - sum_i T_i||``.
+
+    Raises :class:`SolverError`, carrying the trace so far, if a solve
+    annihilates a component or the residual norm stops being finite."""
     y = check_tensor(y)
     _check_observations(y)
+    _check_iters(iters)
     if init.rank != r or init.shape != y.shape:
         raise ValueError("init does not match the requested rank/shape")
     d = y.ndim
@@ -53,36 +62,42 @@ def cp_als_decompose(y: np.ndarray, r: int, init: CPModel, iters: int,
     def model() -> CPModel:
         return CPModel.from_factors(weights, factors)
 
-    m = model()
-    trace.append(_trace_record(0, m, truth, fro_norm(y - m.embed()), 0.0))
-    for sweep in range(iters):
-        tic = time.perf_counter()
-        for k in range(d):
-            others = [factors[l] for l in range(d) if l != k]
-            kr = khatri_rao(others)
-            gram = np.ones((r, r))
-            for l in range(d):
-                if l != k:
-                    gram *= factors[l].T @ factors[l]
-            # weights folded into mode k for the solve
-            w = _solve_psd(gram, (unfold(y, k) @ kr).T).T
-            factors[k], weights = _renormalize(w)
-        wall_ms = (time.perf_counter() - tic) * 1e3
+    try:
         m = model()
-        trace.append(_trace_record(sweep + 1, m, truth, fro_norm(y - m.embed()), wall_ms))
+        _record(trace, 0, m, truth, fro_norm(y - m.embed()), 0.0)
+        for sweep in range(iters):
+            tic = time.perf_counter()
+            for k in range(d):
+                others = [factors[l] for l in range(d) if l != k]
+                kr = khatri_rao(others)
+                gram = np.ones((r, r))
+                for l in range(d):
+                    if l != k:
+                        gram *= factors[l].T @ factors[l]
+                # weights folded into mode k for the solve
+                w = _solve_psd(gram, (unfold(y, k) @ kr).T).T
+                factors[k], weights = _renormalize(w)
+            wall_ms = (time.perf_counter() - tic) * 1e3
+            m = model()
+            _record(trace, sweep + 1, m, truth, fro_norm(y - m.embed()), wall_ms)
+    except SolverError as exc:
+        exc.trace = trace
+        raise
     return model(), trace
 
 
 def cp_als_regress(op: GaussianDesignOp, y: np.ndarray, r: int, init: CPModel,
                    iters: int, truth: CPModel | None = None) -> tuple[CPModel, ConvergenceTrace]:
     """ALS adapted to the regression loss: each mode update solves the normal
-    equations of the design rewritten as linear in that mode's scaled factors."""
+    equations of the design rewritten as linear in that mode's scaled factors.
+    Fails like :func:`cp_als_decompose`."""
     if init.rank != r or init.shape != op.shape:
         raise ValueError("init does not match the requested rank/shape")
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (op.output_dim,):
         raise ValueError("observation length does not match the operator")
     _check_observations(y)
+    _check_iters(iters)
     d = len(op.shape)
     n = op.output_dim
     weights = init.weights.copy()
@@ -92,20 +107,23 @@ def cp_als_regress(op: GaussianDesignOp, y: np.ndarray, r: int, init: CPModel,
     def model() -> CPModel:
         return CPModel.from_factors(weights, factors)
 
-    m = model()
-    trace.append(_trace_record(0, m, truth, float(np.linalg.norm(y - op.apply(m.embed()))), 0.0))
-    for sweep in range(iters):
-        tic = time.perf_counter()
-        for k in range(d):
-            # coefficient block: design m, column i holds X_m contracted with
-            # the other modes' factors of component i
-            (coeff,) = batched_contract_all_but(op.designs, factors, (k,))
-            flat = coeff.reshape(n, -1)
-            sol = _solve_psd(flat.T @ flat, flat.T @ y)
-            factors[k], weights = _renormalize(sol.reshape(op.shape[k], r))
-        # the last block solve's fit is the model's image under the operator
-        residual = float(np.linalg.norm(y - flat @ sol))
-        wall_ms = (time.perf_counter() - tic) * 1e3
+    try:
         m = model()
-        trace.append(_trace_record(sweep + 1, m, truth, residual, wall_ms))
+        _record(trace, 0, m, truth, float(np.linalg.norm(y - op.apply(m.embed()))), 0.0)
+        for sweep in range(iters):
+            tic = time.perf_counter()
+            for k in range(d):
+                # coefficient block: design m, column i holds X_m contracted with
+                # the other modes' factors of component i
+                (coeff,) = batched_contract_all_but(op.designs, factors, (k,))
+                flat = coeff.reshape(n, -1)
+                sol = _solve_psd(flat.T @ flat, flat.T @ y)
+                factors[k], weights = _renormalize(sol.reshape(op.shape[k], r))
+            # the last block solve's fit is the model's image under the operator
+            residual = float(np.linalg.norm(y - flat @ sol))
+            wall_ms = (time.perf_counter() - tic) * 1e3
+            _record(trace, sweep + 1, model(), truth, residual, wall_ms)
+    except SolverError as exc:
+        exc.trace = trace
+        raise
     return model(), trace

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .als import cp_als_decompose, cp_als_regress
 from .initialization import InitSpec, init_decomposition, init_regression
-from .manifold import CPModel, align_and_error, incoherence
+from .manifold import CPModel, DegenerateInputError, align_and_error, incoherence
 from .operators import GaussianDesignOp, IdentityOp
 from .rng import substream, substream_seed
 from .solvers import ConvergenceTrace, Problem, SolverConfig, SolverError, run
@@ -73,6 +73,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown weight law {self.weight_law!r}")
         if self.kappa < 1:
             raise ValueError("condition number must be >= 1")
+        for name in ("max_iters", "init_refine_sweeps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if any(m not in METHODS for m in self.methods):
@@ -267,22 +270,33 @@ def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None =
 
     When ``out_dir`` is given, writes ``trace_<method>_<rep>.csv`` per run,
     ``aggregate.csv``, and ``manifest.json``.  Solver failures are recorded
-    and skipped; a method failing on all replicates raises ``SolverError``.
+    and skipped, and so is a replicate whose initialization degenerates (as a
+    failure of every method, with a NaN initial error); a method failing on
+    all replicates raises ``SolverError``.
     """
     summary = ReplicateSummary(config=config, traces={m: [] for m in config.methods})
+
+    def fail(method: str, rep: int, component: int | None, message: str) -> None:
+        summary.failures.append({"method": method, "replicate": rep,
+                                 "component": component, "message": message})
+
     for rep in range(config.replicates):
         problem = gen_instance(config, rep)
         summary.measured_eta.append(incoherence(problem.truth)[1])
-        init = _initial_model(config, problem, rep)
+        try:
+            init = _initial_model(config, problem, rep)
+        except DegenerateInputError as exc:
+            summary.init_errors.append(math.nan)
+            for method in config.methods:
+                fail(method, rep, None, f"initialization failed: {exc}")
+                summary.traces[method].append(None)
+            continue
         summary.init_errors.append(align_and_error(init, problem.truth).rel_frobenius_error)
         for method in config.methods:
             try:
                 trace = _run_method(method, config, problem, init)
             except SolverError as exc:
-                summary.failures.append({
-                    "method": method, "replicate": rep,
-                    "component": exc.component, "message": str(exc),
-                })
+                fail(method, rep, exc.component, str(exc))
                 trace = exc.trace
             summary.traces[method].append(trace)
     for method in config.methods:

@@ -6,6 +6,7 @@ start built on the operator adjoint.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -161,7 +162,8 @@ def refine_by_deflation(y: np.ndarray, model: CPModel, sweeps: int = 1) -> CPMod
     random starts frequently place two components in the attraction basin of
     the same dominant structure; one pass assigns each component a distinct
     basin, after which the manifold iterations contract locally.  A component
-    whose deflated residual degenerates is left unchanged.
+    whose deflated residual degenerates is left unchanged; a residual whose
+    norm overflows raises :class:`DegenerateInputError`.
     """
     comps = list(model.components)
     embeds = [c.embed() for c in comps]
@@ -172,6 +174,8 @@ def refine_by_deflation(y: np.ndarray, model: CPModel, sweeps: int = 1) -> CPMod
             try:
                 comps[i] = retract_thosvd(rhs)
             except DegenerateInputError:
+                if not math.isfinite(fro_norm(rhs)):
+                    raise  # overflow, not a degenerate residual
                 logger.warning("deflation pass left component %d unchanged (degenerate residual)", i)
                 continue
             new_embed = comps[i].embed()

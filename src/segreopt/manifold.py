@@ -249,7 +249,10 @@ def _sign_fix(u: np.ndarray) -> np.ndarray:
 
 def leading_singular_vector(m: np.ndarray) -> np.ndarray:
     """Sign-fixed leading left singular vector of a matrix."""
-    evals, evecs = np.linalg.eigh(m @ m.T)
+    gram = m @ m.T
+    if not np.all(np.isfinite(gram)):
+        raise DegenerateInputError("Gram matrix of the unfolding is not finite")
+    evals, evecs = np.linalg.eigh(gram)
     if evals.size > 1:
         _warn_if_tied(evals[-1], evals[-2])
     return _sign_fix(evecs[:, -1])

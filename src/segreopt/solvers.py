@@ -92,6 +92,8 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not callable(self.step_size) and not 0 < self.step_size <= 1:
             raise ValueError("step size must lie in (0, 1]")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.stop_tol <= 0 or self.pinv_tol <= 0:
             raise ValueError("tolerances must be positive")
 
@@ -108,6 +110,9 @@ class SolverState:
     model: CPModel
     iteration: int
     residual: np.ndarray  # y - op(sum of components)
+    # batched_contract_all_but(op.designs, factors, range(d)) at ``model``, when
+    # a design-operator step has already computed it; None otherwise
+    contractions: list[np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def initial(cls, problem: Problem, model: CPModel) -> "SolverState":
@@ -200,6 +205,12 @@ def solve_tangent_ls(point: SegrePoint, op: MeasurementOp, rhs: np.ndarray,
     return tangent_from_coords(point, comps, coords)
 
 
+def _applied(vs: list[np.ndarray], factors0: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row ``i`` is the operator image of component ``i``, read from the
+    mode-0 contraction of :func:`batched_contract_all_but`."""
+    return np.einsum("mai,ai->im", vs[0], factors0) * weights[:, None]
+
+
 def rgn_step(state: SolverState, problem: Problem, pinv_tol: float = 1e-10,
              gauss_seidel: bool = False) -> SolverState:
     """One Gauss-Newton step: each component is replaced by the retracted
@@ -209,14 +220,17 @@ def rgn_step(state: SolverState, problem: Problem, pinv_tol: float = 1e-10,
         # With full observations the Gauss-Newton step coincides with a unit
         # step of gradient descent; share the code path so they match exactly.
         return rgd_step(state, problem, 1.0, gauss_seidel)
-    # One pass over the designs yields every component's tangent design
-    # matrix and its image under the operator; under Gauss-Seidel too, since
-    # each design matrix depends only on its own component's starting factors.
+    # One pass over the designs (or the contractions a Jacobi step carried
+    # over) yields every component's tangent design matrix and its image
+    # under the operator; under Gauss-Seidel too, since each design matrix
+    # depends only on its own component's starting factors.
     model = state.model
     d = len(model.shape)
     factors = [model.factor_matrix(l) for l in range(d)]
-    vs = batched_contract_all_but(op.designs, factors, range(d))
-    applied = np.einsum("mai,ai->im", vs[0], factors[0]) * model.weights[:, None]
+    vs = state.contractions
+    if vs is None:
+        vs = batched_contract_all_but(op.designs, factors, range(d))
+    applied = _applied(vs, factors[0], model.weights)
     total_applied = applied.sum(axis=0)
     new_comps: list[SegrePoint] = []
     for i, point in enumerate(model.components):
@@ -231,9 +245,15 @@ def rgn_step(state: SolverState, problem: Problem, pinv_tol: float = 1e-10,
             total_applied += new_applied - applied[i]
             applied[i] = new_applied
     model = CPModel(tuple(new_comps))
-    # under Gauss-Seidel every component's image is already that of the new one
-    residual = problem.y - total_applied if gauss_seidel else _residual(problem, model)
-    return SolverState(model, state.iteration + 1, residual)
+    if gauss_seidel:
+        # every component's image is already that of the new one
+        return SolverState(model, state.iteration + 1, problem.y - total_applied)
+    # one pass at the new factors gives the residual now and the next
+    # iteration's design matrices
+    factors = [model.factor_matrix(l) for l in range(d)]
+    vs = batched_contract_all_but(op.designs, factors, range(d))
+    residual = problem.y - _applied(vs, factors[0], model.weights).sum(axis=0)
+    return SolverState(model, state.iteration + 1, residual, vs)
 
 
 @dataclass(frozen=True)
@@ -271,27 +291,21 @@ class ConvergenceTrace:
             fh.write(self.to_csv())
 
 
-def _trace_record(iteration: int, model: CPModel, truth: CPModel | None,
-                  residual: float, wall_ms: float) -> TraceRecord:
+def _record(trace: ConvergenceTrace, iteration: int, model: CPModel, truth: CPModel | None,
+            residual: float, wall_ms: float) -> float:
+    """Append the trace row of ``model`` and return its residual norm; a
+    non-finite norm ends the run with the trace so far."""
     rel = math.nan
     comp = math.nan
     if truth is not None:
         report = align_and_error(model, truth)
         rel = report.rel_frobenius_error
         comp = report.max_component_error
-    return TraceRecord(iteration, rel, comp, residual, wall_ms)
-
-
-def _record(trace: ConvergenceTrace, state: SolverState, truth: CPModel | None,
-            wall_ms: float) -> float:
-    """Append ``state``'s trace row and return its residual norm; a
-    non-finite norm ends the run with the trace so far."""
-    res = float(np.linalg.norm(state.residual))
-    trace.append(_trace_record(state.iteration, state.model, truth, res, wall_ms))
-    if not math.isfinite(res):
-        raise SolverError(f"residual norm is {res} at iteration {state.iteration}; "
+    trace.append(TraceRecord(iteration, rel, comp, residual, wall_ms))
+    if not math.isfinite(residual):
+        raise SolverError(f"residual norm is {residual} at iteration {iteration}; "
                           "the iteration diverged", trace=trace)
-    return res
+    return residual
 
 
 def run(problem: Problem, config: SolverConfig, init: CPModel) -> tuple[CPModel, ConvergenceTrace]:
@@ -305,7 +319,7 @@ def run(problem: Problem, config: SolverConfig, init: CPModel) -> tuple[CPModel,
         raise ValueError(f"init shape {init.shape} does not match operator shape {problem.op.shape}")
     state = SolverState.initial(problem, init)
     trace = ConvergenceTrace()
-    prev_res = _record(trace, state, problem.truth, 0.0)
+    prev_res = _record(trace, 0, init, problem.truth, float(np.linalg.norm(state.residual)), 0.0)
     for t in range(config.max_iters):
         tic = time.perf_counter()
         try:
@@ -317,7 +331,8 @@ def run(problem: Problem, config: SolverConfig, init: CPModel) -> tuple[CPModel,
             exc.trace = trace
             raise
         wall_ms = (time.perf_counter() - tic) * 1e3
-        res = _record(trace, state, problem.truth, wall_ms)
+        res = _record(trace, state.iteration, state.model, problem.truth,
+                      float(np.linalg.norm(state.residual)), wall_ms)
         if res == 0.0 or abs(res - prev_res) < config.stop_tol * max(prev_res, 1e-300):
             break
         prev_res = res

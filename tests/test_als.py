@@ -5,6 +5,7 @@ from segreopt.als import cp_als_decompose, cp_als_regress
 from segreopt.initialization import InitSpec, init_decomposition
 from segreopt.manifold import CPModel, align_and_error
 from segreopt.operators import GaussianDesignOp
+from segreopt.solvers import SolverError
 
 
 def orthogonal_model(rng, shape, r, weights):
@@ -111,3 +112,21 @@ def test_non_finite_observations_rejected(task, bad):
             y = rng.standard_normal(20)
             y[7] = bad
             cp_als_regress(op, y, 1, init, 2)
+
+
+@pytest.mark.parametrize("task", ["decompose", "regress"])
+def test_divergence_raises_solver_error(task):
+    # observations so large that the residual norm overflows: the run ends
+    # with the trace so far instead of a misleading solve failure
+    rng = np.random.default_rng(0)
+    shape = (4, 4, 4)
+    y = 1e160 * rng.standard_normal(shape)
+    init = init_decomposition(y, 2, InitSpec(seed=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match="diverged") as exc_info:
+            if task == "decompose":
+                cp_als_decompose(y, 2, init, 5)
+            else:
+                op = GaussianDesignOp.from_seed(3, shape, 200)
+                cp_als_regress(op, 1e160 * rng.standard_normal(200), 2, init, 5)
+    assert len(exc_info.value.trace.records) == 1

@@ -232,6 +232,30 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert len(manifest["failures"]) == 2
 
+    def test_initialization_overflow_recorded_as_replicate_failure(self, monkeypatch):
+        # the same blown-up replicate, now through a deflation-refined init
+        # whose unfolding Grams overflow: every method fails on replicate 0
+        import dataclasses
+
+        import segreopt.harness as hz
+
+        real = hz.gen_instance
+        def blown_up(config, replicate=0):
+            prob = real(config, replicate)
+            return dataclasses.replace(prob, y=1e160 * prob.y) if replicate == 0 else prob
+
+        monkeypatch.setattr(hz, "gen_instance", blown_up)
+        cfg = self._smoke_config(replicates=2, init_refine_sweeps=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = hz.run_experiment(cfg)
+        assert [(f["method"], f["replicate"]) for f in s.failures] == [("rgd", 0), ("rgn", 0)]
+        assert all(f["message"].startswith("initialization failed") for f in s.failures)
+        assert len(s.init_errors) == len(s.measured_eta) == 2
+        assert math.isnan(s.init_errors[0]) and math.isfinite(s.init_errors[1])
+        for method in cfg.methods:
+            assert s.traces[method][0] is None
+            assert len(s.traces[method][1].records) > 1
+
     def test_all_replicates_failing_raises(self, monkeypatch):
         import segreopt.harness as hz
         from segreopt.solvers import SolverError

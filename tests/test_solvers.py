@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from segreopt import tensor as tc
+from segreopt.als import cp_als_decompose, cp_als_regress
 from segreopt.harness import ExperimentConfig, config_from_preset, gen_instance
 from segreopt.initialization import InitSpec, init_decomposition, init_regression
 from segreopt.manifold import (
@@ -310,6 +311,26 @@ class TestRgnStep:
                     total += new - applied[i]
                     applied[i] = new
 
+    def test_jacobi_carries_contractions(self):
+        # the contractions a Jacobi step attaches are those of its new model:
+        # a second step from them equals a second step from a fresh state
+        cfg = config_from_preset("smoke-regress")
+        prob = gen_instance(cfg, 0)
+        op = prob.op
+        start = init_regression(op, prob.y, cfg.rank, cfg.cpca_split)
+        first = rgn_step(SolverState.initial(prob, start), prob)
+        assert first.contractions is not None
+        fresh = prob.y - op.apply(first.model.embed())
+        assert np.linalg.norm(first.residual - fresh) <= 1e-12 * np.linalg.norm(fresh)
+        chained = rgn_step(first, prob)
+        restarted = rgn_step(SolverState.initial(prob, first.model), prob)
+        for ca, cb in zip(chained.model.components, restarted.model.components):
+            assert ca.weight == cb.weight
+            for fa, fb in zip(ca.factors, cb.factors):
+                assert np.array_equal(fa, fb)
+        for va, vb in zip(chained.contractions, restarted.contractions):
+            assert np.array_equal(va, vb)
+
     def test_component_annihilation_raises(self):
         # a one-component model whose observation is exactly zero after
         # removing the others: the tangent fit collapses to the zero tensor
@@ -410,6 +431,35 @@ class TestRun:
                     rgd_step(state, prob, 0.2)
                 else:
                     rgn_step(state, prob)
+
+    @pytest.mark.parametrize("gauss_seidel", [False, True])
+    def test_design_passes_per_iteration(self, monkeypatch, gauss_seidel):
+        # Jacobi RGN reads the design stack once per iteration plus once at the
+        # start; Gauss-Seidel once per iteration plus one apply per component
+        import segreopt.solvers as solvers
+
+        cfg = config_from_preset("smoke-regress")
+        prob = gen_instance(cfg, 0)
+        init = init_regression(prob.op, prob.y, cfg.rank, cfg.cpca_split)
+        calls = {"kernel": 0, "apply": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(solvers, "batched_contract_all_but",
+                            counted("kernel", solvers.batched_contract_all_but))
+        monkeypatch.setattr(GaussianDesignOp, "apply", counted("apply", GaussianDesignOp.apply))
+        k = 4
+        _, trace = run(prob, SolverConfig(method="rgn", max_iters=k, stop_tol=1e-300,
+                                          gauss_seidel=gauss_seidel), init)
+        assert len(trace.records) == k + 1
+        if gauss_seidel:
+            assert calls == {"kernel": k, "apply": 1 + cfg.rank * k}
+        else:
+            assert calls == {"kernel": k + 1, "apply": 1}
 
     def test_rank_mismatch_rejected(self):
         rng = np.random.default_rng(17)
@@ -516,3 +566,21 @@ class TestTwoPhaseCoherent:
         assert len(upper_all) >= 5 and len(lower_all) >= 5
         assert fit(upper_all) >= 1.8
         assert fit(lower_all) <= 1.5
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: SolverConfig(max_iters=-3), "max_iters"),
+    (lambda: ExperimentConfig(task="decompose", max_iters=-1), "max_iters"),
+    (lambda: ExperimentConfig(task="decompose", init_refine_sweeps=-1), "init_refine_sweeps"),
+    (lambda: cp_als_decompose(np.ones((2, 2, 2)), 1, _unit_model((2, 2, 2)), -1), "iters"),
+    (lambda: cp_als_regress(GaussianDesignOp(np.ones((3, 2, 2, 2))), np.ones(3), 1,
+                            _unit_model((2, 2, 2)), -1), "iters"),
+], ids=["SolverConfig", "ExperimentConfig.max_iters", "ExperimentConfig.init_refine_sweeps",
+        "cp_als_decompose", "cp_als_regress"])
+def test_negative_iteration_count_rejected(make, field):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
+        make()
+
+
+def _unit_model(shape):
+    return CPModel((SegrePoint(1.0, tuple(np.eye(p)[0] for p in shape)),))
