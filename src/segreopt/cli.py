@@ -5,7 +5,8 @@ Subcommands:
 * ``decompose`` / ``regress`` -- run one experiment from a preset or config
   file and write trace CSVs, the RMS aggregate, and a manifest.
 * ``bench`` -- expand a preset's parameter grid and run every cell into its
-  own subdirectory.
+  own subdirectory, named ``noise<noise_sd>_rho<rho>`` followed by
+  ``_<key><value>`` for every other grid key in sorted order.
 
 Config fields can be overridden by environment variables prefixed with
 ``SEGREOPT_`` (e.g. ``SEGREOPT_REPLICATES=5``); flags take precedence over
@@ -93,9 +94,12 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "bench":
         configs = expand_grid(base)
+        # every grid field names the cell, so no two cells share a directory
+        extra = sorted(set(base.get("grid") or ()) - {"noise_sd", "rho"})
         failed = 0
         for cfg in configs:
-            cell = f"noise{cfg.noise_sd}_rho{cfg.rho}"
+            cell = f"noise{cfg.noise_sd}_rho{cfg.rho}" + "".join(
+                f"_{key}{getattr(cfg, key)}" for key in extra)
             cell_dir = os.path.join(args.out, cell)
             print(f"[bench] {cfg.task} {cell} -> {cell_dir}")
             try:

@@ -95,20 +95,9 @@ class ExperimentConfig:
         return int(math.floor(2.0 * self.pbar**1.5 * self.rank))
 
     def to_dict(self) -> dict:
-        d = {
-            "task": self.task, "dims": list(self.dims), "rank": self.rank,
-            "rho": self.rho, "weight_law": self.weight_law, "kappa": self.kappa,
-            "noise_sd": self.noise_sd, "n_samples": self.n_samples,
-            "design_scale": self.design_scale, "methods": list(self.methods),
-            "init_method": self.init_method,
-            "init_refine_sweeps": self.init_refine_sweeps,
-            "cpca_split": list(self.cpca_split) if self.cpca_split else None,
-            "replicates": self.replicates, "seed": self.seed,
-            "max_iters": self.max_iters, "step_size": self.step_size,
-            "stop_tol": self.stop_tol, "pinv_tol": self.pinv_tol,
-            "gauss_seidel": self.gauss_seidel,
-        }
-        return d
+        """Every field by name, tuples as lists (the inverse of :meth:`from_dict`)."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -307,7 +296,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None =
     return summary
 
 
+def _finite_or_null(values: list[float]) -> list[float | None]:
+    return [v if math.isfinite(v) else None for v in values]
+
+
 def write_outputs(summary: ReplicateSummary, out_dir: str | os.PathLike) -> None:
+    """Write the trace CSVs, ``aggregate.csv`` and a strict-JSON
+    ``manifest.json``, in which a non-finite ``measured_eta`` or
+    ``init_rel_errors`` entry (say, a failed initialization's NaN) is null."""
     os.makedirs(out_dir, exist_ok=True)
     config = summary.config
     for method, traces in summary.traces.items():
@@ -334,13 +330,13 @@ def write_outputs(summary: ReplicateSummary, out_dir: str | os.PathLike) -> None
                       for rep in range(config.replicates)]
             for purpose in ("factors", "rotation", "noise", "designs", "init", "weights")
         },
-        "measured_eta": summary.measured_eta,
-        "init_rel_errors": summary.init_errors,
+        "measured_eta": _finite_or_null(summary.measured_eta),
+        "init_rel_errors": _finite_or_null(summary.init_errors),
         "failures": summary.failures,
         "versions": {"segreopt": __version__, "numpy": np.__version__},
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -16,6 +16,7 @@ from .manifold import (
     CPModel,
     DegenerateInputError,
     SegrePoint,
+    _sign_fix,
     leading_singular_vector,
     retract_thosvd,
 )
@@ -89,9 +90,7 @@ def _multi_unfold(t: np.ndarray, split: tuple[int, ...]) -> np.ndarray:
 def _extract_mode_vectors(vec: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
     """Leading per-mode singular vectors of ``vec`` refolded to ``dims``."""
     if len(dims) == 1:
-        u = vec / np.linalg.norm(vec)
-        j = int(np.argmax(np.abs(u)))
-        return [-u if u[j] < 0 else u]
+        return [_sign_fix(vec / np.linalg.norm(vec))]
     sub = vec.reshape(dims)
     return [leading_singular_vector(unfold(sub, k)) for k in range(len(dims))]
 

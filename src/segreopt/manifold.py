@@ -180,9 +180,8 @@ class TangentBasis:
 
     ``vectors`` has shape ``(df,) + point.shape`` with ``df = 1 + sum(p_l - 1)``.
     Coordinate layout: index 0 is the core direction, followed by one block of
-    ``p_k - 1`` entries per mode ``k`` in ascending mode order.  Blocks use the
-    column order of the deterministic complement bases, so coordinates map
-    back to ambient tensors via :func:`tangent_from_coords`.
+    ``p_k - 1`` entries per mode ``k`` in ascending mode order, each block in
+    the column order of the deterministic complement basis of ``u_k``.
     """
 
     point: SegrePoint
@@ -213,27 +212,6 @@ def tangent_basis(point: SegrePoint) -> TangentBasis:
             vectors[pos] = outer_rank_one(1.0, fs)
             pos += 1
     return TangentBasis(point=point, vectors=vectors)
-
-
-def complement_bases(point: SegrePoint) -> list[np.ndarray]:
-    """Per-mode complement bases matching the :class:`TangentBasis` layout."""
-    return [_complement_basis(u) for u in point.factors]
-
-
-def directions_from_coords(comps: list[np.ndarray], coords: np.ndarray) -> list[np.ndarray]:
-    """Mode directions ``h_k`` of the tangent vector with the given basis
-    coordinates; its core coordinate is ``coords[0]``."""
-    ends = np.cumsum([1] + [q.shape[1] for q in comps])
-    return [q @ coords[lo:hi] for q, lo, hi in zip(comps, ends[:-1], ends[1:])]
-
-
-def tangent_from_coords(point: SegrePoint, comps: list[np.ndarray], coords: np.ndarray) -> np.ndarray:
-    """Ambient tangent tensor with the given basis coordinates.
-
-    ``comps`` must come from :func:`complement_bases` (or the matching
-    :class:`TangentBasis` construction) for the coordinate layout to agree.
-    """
-    return embed_tangent(float(coords[0]), point.factors, directions_from_coords(comps, coords))
 
 
 def _warn_if_tied(top: float, second: float) -> None:

@@ -19,17 +19,17 @@ PURPOSES = {
 }
 
 
-def substream(seed: int, purpose: str, replicate: int = 0) -> np.random.Generator:
-    """Generator for one (seed, purpose, replicate) cell of the stream grid."""
+def _seed_sequence(seed: int, purpose: str, replicate: int) -> np.random.SeedSequence:
     if purpose not in PURPOSES:
         raise ValueError(f"unknown stream purpose {purpose!r}")
-    ss = np.random.SeedSequence((int(seed), PURPOSES[purpose], int(replicate)))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.SeedSequence((int(seed), PURPOSES[purpose], int(replicate)))
+
+
+def substream(seed: int, purpose: str, replicate: int = 0) -> np.random.Generator:
+    """Generator for one (seed, purpose, replicate) cell of the stream grid."""
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, purpose, replicate)))
 
 
 def substream_seed(seed: int, purpose: str, replicate: int = 0) -> int:
     """A derived 64-bit integer seed for APIs that take a plain seed."""
-    if purpose not in PURPOSES:
-        raise ValueError(f"unknown stream purpose {purpose!r}")
-    ss = np.random.SeedSequence((int(seed), PURPOSES[purpose], int(replicate)))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, purpose, replicate).generate_state(1, np.uint64)[0])

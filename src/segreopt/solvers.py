@@ -23,11 +23,9 @@ from .manifold import (
     DegenerateInputError,
     SegrePoint,
     align_and_error,
-    complement_bases,
-    directions_from_coords,
+    embed_tangent,
     project_tangent,
     retract_factored,
-    tangent_from_coords,
     tangent_parts,
 )
 from .operators import IdentityOp, MeasurementOp
@@ -156,42 +154,47 @@ def rgd_step(state: SolverState, problem: Problem, alpha: float,
     return SolverState(model, state.iteration + 1, _residual(problem, model))
 
 
-def _design_tangent_matrix(vs: list[np.ndarray], i: int, point: SegrePoint,
-                           comps: list[np.ndarray]) -> np.ndarray:
-    """The n x df matrix of design tensors paired with the tangent basis at
-    ``point`` (same column layout as :func:`segreopt.manifold.tangent_basis`),
-    read from column ``i`` of the per-mode contractions ``vs`` of
-    :func:`batched_contract_all_but` instead of materializing basis tensors."""
-    core = vs[0][:, :, i] @ point.factors[0]
-    return np.column_stack([core] + [v[:, :, i] @ q for v, q in zip(vs, comps)])
+def _fit_tangent(vs: list[np.ndarray], i: int, factors: tuple[np.ndarray, ...],
+                 rhs: np.ndarray, pinv_tol: float) -> tuple[float, list[np.ndarray]]:
+    """Least-squares fit of ``rhs`` over the tangent space at the point with
+    unit factors ``factors``, whose design contractions are column ``i`` of
+    the per-mode contractions ``vs`` of :func:`batched_contract_all_but`.
 
-
-def _fit_tangent(design: np.ndarray, rhs: np.ndarray, pinv_tol: float) -> np.ndarray:
-    """Tangent coordinates of the least-squares fit ``design @ coords ~ rhs``."""
-    gram = design.T @ design
-    b = design.T @ rhs
+    The unknowns are the core and one full direction ``h_k`` per mode.  The
+    normal system is projected by ``blockdiag(1, I - u_k u_k^T)``, so each
+    ``u_k`` is a null direction that the minimum-norm eigen-solve drops and
+    every ``h_k`` comes out orthogonal to its ``u_k``.  Eigenvalues below
+    ``pinv_tol`` times the largest are dropped; keeping fewer than the
+    tangent dimension is flagged.  Returns the core and the ``h_k``.
+    """
+    design = np.column_stack([vs[0][:, :, i] @ factors[0]] + [v[:, :, i] for v in vs])
+    ends = np.cumsum([1] + [u.size for u in factors])
+    proj = np.eye(ends[-1])
+    for u, lo, hi in zip(factors, ends[:-1], ends[1:]):
+        proj[lo:hi, lo:hi] -= np.outer(u, u)
+    gram = proj @ (design.T @ design) @ proj
+    b = proj @ (design.T @ rhs)
     evals, evecs = np.linalg.eigh(gram)
-    cutoff = pinv_tol * max(evals[-1], 0.0)
-    keep = evals > cutoff
-    if not np.any(keep):
+    keep = evals > pinv_tol * max(evals[-1], 0.0)
+    kept = int(np.count_nonzero(keep))
+    df = ends[-1] - len(factors)
+    if kept == 0:
         logger.warning("tangent normal system is numerically zero; returning zero update")
-        return np.zeros(evals.size)
-    if np.count_nonzero(keep) < evals.size:
-        logger.warning(
-            "tangent normal system rank-deficient (%d/%d kept); minimum-norm solution",
-            int(np.count_nonzero(keep)), evals.size,
-        )
-    return evecs[:, keep] @ ((evecs[:, keep].T @ b) / evals[keep])
+    elif kept < df:
+        logger.warning("tangent normal system rank-deficient (%d/%d kept); minimum-norm solution",
+                       kept, df)
+    x = evecs[:, keep] @ ((evecs[:, keep].T @ b) / evals[keep])
+    return float(x[0]), [x[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])]
 
 
 def solve_tangent_ls(point: SegrePoint, op: MeasurementOp, rhs: np.ndarray,
                      pinv_tol: float = 1e-10) -> np.ndarray:
     """Least-squares fit of ``rhs`` over the tangent space at ``point``.
 
-    Returns the ambient tangent tensor minimizing ``||rhs - op(xi)||`` via the
-    df x df normal equations, solved by pseudo-inverse with eigenvalues below
-    ``pinv_tol`` times the largest dropped.  A rank-deficient system is
-    flagged and the minimum-norm solution returned.
+    Returns the ambient tangent tensor minimizing ``||rhs - op(xi)||``, from
+    the normal equations solved by pseudo-inverse with eigenvalues below
+    ``pinv_tol`` times the largest dropped (see :func:`_fit_tangent`).  A
+    rank-deficient system is flagged and the minimum-norm solution returned.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (op.output_dim,):
@@ -199,10 +202,9 @@ def solve_tangent_ls(point: SegrePoint, op: MeasurementOp, rhs: np.ndarray,
     if isinstance(op, IdentityOp):
         # P A*A P = P: the tangent projection solves the subproblem exactly.
         return project_tangent(point, rhs.reshape(op.shape))
-    comps = complement_bases(point)
     vs = batched_contract_all_but(op.designs, [u[:, None] for u in point.factors], range(point.order))
-    coords = _fit_tangent(_design_tangent_matrix(vs, 0, point, comps), rhs, pinv_tol)
-    return tangent_from_coords(point, comps, coords)
+    core, hs = _fit_tangent(vs, 0, point.factors, rhs, pinv_tol)
+    return embed_tangent(core, point.factors, hs)
 
 
 def _applied(vs: list[np.ndarray], factors0: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -235,10 +237,8 @@ def rgn_step(state: SolverState, problem: Problem, pinv_tol: float = 1e-10,
     new_comps: list[SegrePoint] = []
     for i, point in enumerate(model.components):
         rhs = problem.y - (total_applied - applied[i])
-        comps = complement_bases(point)
-        coords = _fit_tangent(_design_tangent_matrix(vs, i, point, comps), rhs, pinv_tol)
-        new_point = _retract_component(coords[0], point.factors,
-                                       directions_from_coords(comps, coords), i)
+        core, hs = _fit_tangent(vs, i, point.factors, rhs, pinv_tol)
+        new_point = _retract_component(core, point.factors, hs, i)
         new_comps.append(new_point)
         if gauss_seidel:
             new_applied = op.apply(new_point.embed())

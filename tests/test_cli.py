@@ -46,21 +46,22 @@ def test_config_file_and_env_override(tmp_path, monkeypatch):
 
 
 def test_bench_expands_grid(tmp_path):
-    cfg = {
-        "task": "decompose", "dims": [5, 5, 5], "rank": 2, "rho": 0.0,
-        "noise_sd": 0.0, "methods": ["rgn"], "replicates": 1, "seed": 3,
-        "max_iters": 2, "init_refine_sweeps": 1,
-        "grid": {"noise_sd": [0.0, 0.5]},
-    }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "bench"
-    rc = main(["bench", "--config", str(path), "--out", str(out)])
-    assert rc == 0
-    cells = sorted(os.listdir(out))
-    assert len(cells) == 2
-    for cell in cells:
-        assert (out / cell / "aggregate.csv").exists()
+    # a grid over a field other than noise_sd and rho gets its own cells too
+    for name, grid in (("noise", {"noise_sd": [0.0, 0.5]}), ("kappa", {"kappa": [1.0, 10.0]})):
+        cfg = {
+            "task": "decompose", "dims": [5, 5, 5], "rank": 2, "rho": 0.0,
+            "noise_sd": 0.0, "methods": ["rgn"], "replicates": 1, "seed": 3,
+            "max_iters": 2, "init_refine_sweeps": 1, "grid": grid,
+        }
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / name
+        rc = main(["bench", "--config", str(path), "--out", str(out)])
+        assert rc == 0
+        cells = sorted(os.listdir(out))
+        assert len(cells) == 2
+        for cell in cells:
+            assert (out / cell / "aggregate.csv").exists()
 
 
 def test_missing_preset_and_config_errors(tmp_path):

@@ -256,6 +256,33 @@ class TestRunExperiment:
             assert s.traces[method][0] is None
             assert len(s.traces[method][1].records) > 1
 
+    @pytest.mark.parametrize("sweeps", [0, 1])
+    def test_manifest_is_strict_json(self, sweeps, monkeypatch, tmp_path):
+        # the blown-up replicate 0 again: its initial error is infinite
+        # without refinement and NaN (a failed initialization) with it
+        import dataclasses
+
+        import segreopt.harness as hz
+
+        real = hz.gen_instance
+        def blown_up(config, replicate=0):
+            prob = real(config, replicate)
+            return dataclasses.replace(prob, y=1e160 * prob.y) if replicate == 0 else prob
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        monkeypatch.setattr(hz, "gen_instance", blown_up)
+        cfg = self._smoke_config(replicates=2, init_refine_sweeps=sweeps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = hz.run_experiment(cfg, tmp_path / "o")
+        assert not math.isfinite(s.init_errors[0])
+        text = (tmp_path / "o" / "manifest.json").read_text()
+        manifest = json.loads(text, parse_constant=reject)
+        assert manifest["init_rel_errors"][0] is None
+        assert manifest["init_rel_errors"][1] == s.init_errors[1]
+        assert manifest["measured_eta"] == s.measured_eta
+
     def test_all_replicates_failing_raises(self, monkeypatch):
         import segreopt.harness as hz
         from segreopt.solvers import SolverError
@@ -311,6 +338,11 @@ class TestPresets:
     def test_out_of_range_config_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(task="regress", dims=(4, 4, 4), **{field: value})
+
+    def test_to_dict_round_trips(self):
+        for name in preset_names():
+            for cfg in expand_grid(load_preset(name)):
+                assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ValueError, match="bogus"):

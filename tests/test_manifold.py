@@ -11,7 +11,6 @@ from segreopt.manifold import (
     DegenerateInputError,
     SegrePoint,
     align_and_error,
-    complement_bases,
     embed_tangent,
     incoherence,
     project_tangent,
@@ -19,7 +18,6 @@ from segreopt.manifold import (
     retract_thosvd,
     tangent_basis,
     tangent_dim,
-    tangent_from_coords,
 )
 
 
@@ -162,15 +160,6 @@ class TestTangentBasis:
             flat = b.vectors.reshape(b.dim, -1)
             expansion = (flat.T @ (flat @ x.ravel())).reshape(pt.shape)
             assert np.allclose(expansion, project_tangent(pt, x), atol=1e-9)
-
-    def test_coords_round_trip(self):
-        rng = np.random.default_rng(13)
-        pt = random_point(rng, (3, 4, 2))
-        comps = complement_bases(pt)
-        coords = rng.standard_normal(tangent_dim(pt.shape))
-        xi = tangent_from_coords(pt, comps, coords)
-        flat = tangent_basis(pt).vectors.reshape(len(coords), -1)
-        assert np.allclose(flat @ xi.ravel(), coords, atol=1e-10)
 
 
 class TestRetraction:

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -215,10 +217,11 @@ class TestTangentLeastSquares:
         # two identical designs cannot span the 5-dim tangent space
         x = rng.standard_normal((1,) + pt.shape)
         op = GaussianDesignOp(np.repeat(x, 2, axis=0))
-        import logging
         with caplog.at_level(logging.WARNING, logger="segreopt.solvers"):
             xi = solve_tangent_ls(pt, op, np.ones(2))
-        assert any("rank-deficient" in m for m in caplog.messages)
+        # the denominator is the tangent dimension 1 + 2 + 2, without the
+        # gauge directions u_k that the fit's unknowns add
+        assert any("rank-deficient (1/5 kept)" in m for m in caplog.messages)
         resid0 = np.linalg.norm(np.ones(2) - op.apply(xi))
         # oracle: dense min-norm solution has the same residual and norm
         basis = tangent_basis(pt)
@@ -310,6 +313,17 @@ class TestRgnStep:
                     new = op.apply(expected)
                     total += new - applied[i]
                     applied[i] = new
+
+    @pytest.mark.parametrize("gauss_seidel", [False, True])
+    def test_full_rank_fit_logs_no_warning(self, gauss_seidel, caplog):
+        # the gauge directions u_k dropped by every fit are not rank loss
+        cfg = config_from_preset("smoke-regress")
+        prob = gen_instance(cfg, 0)
+        start = init_regression(prob.op, prob.y, cfg.rank, cfg.cpca_split)
+        with caplog.at_level(logging.WARNING, logger="segreopt.solvers"):
+            rgn_step(SolverState.initial(prob, start), prob, gauss_seidel=gauss_seidel)
+        assert not [m for m in caplog.messages
+                    if "rank-deficient" in m or "numerically zero" in m]
 
     def test_jacobi_carries_contractions(self):
         # the contractions a Jacobi step attaches are those of its new model:
