@@ -27,7 +27,7 @@ from .harness import (
     preset_names,
     run_experiment,
 )
-from .solvers import SolverError
+from .solvers import METHODS, SolverError
 
 ENV_PREFIX = "SEGREOPT_"
 
@@ -76,7 +76,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--replicates", type=int)
     p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--method", action="append", choices=["rgd", "rgn", "als"],
+    p.add_argument("--method", action="append", choices=METHODS,
                    help="repeatable; overrides the configured method list")
 
 

@@ -23,14 +23,11 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .als import cp_als_decompose, cp_als_regress
-from .initialization import InitSpec, init_decomposition, init_regression
+from .initialization import INIT_METHODS, InitSpec, init_decomposition, init_regression
 from .manifold import CPModel, DegenerateInputError, align_and_error, incoherence
 from .operators import GaussianDesignOp, IdentityOp
 from .rng import substream, substream_seed
-from .solvers import ConvergenceTrace, Problem, SolverConfig, SolverError, run
-
-METHODS = ("rgd", "rgn", "als")
+from .solvers import METHODS, ConvergenceTrace, Problem, SolverConfig, SolverError, run
 
 
 @dataclass(frozen=True)
@@ -73,17 +70,28 @@ class ExperimentConfig:
             raise ValueError(f"unknown weight law {self.weight_law!r}")
         if self.kappa < 1:
             raise ValueError("condition number must be >= 1")
-        for name in ("max_iters", "init_refine_sweeps"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.init_refine_sweeps < 0:
+            raise ValueError(f"init_refine_sweeps must be >= 0, got {self.init_refine_sweeps}")
+        if self.init_method not in (None,) + INIT_METHODS:
+            raise ValueError(f"unknown init_method {self.init_method!r}")
+        if self.init_method == "adjoint-cpca" and self.task != "regress":
+            raise ValueError("init_method 'adjoint-cpca' needs a design operator, "
+                             f"which task {self.task!r} does not have")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
-        if any(m not in METHODS for m in self.methods):
-            raise ValueError(f"methods must be among {METHODS}")
+        if not self.methods or any(m not in METHODS for m in self.methods):
+            raise ValueError(f"methods must be a nonempty selection from {METHODS}")
+        self.solver_config(self.methods[0])  # checks the solver fields
         object.__setattr__(self, "dims", tuple(int(p) for p in self.dims))
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.cpca_split is not None:
             object.__setattr__(self, "cpca_split", tuple(self.cpca_split))
+
+    def solver_config(self, method: str) -> SolverConfig:
+        """The settings of every run of ``method`` in this experiment."""
+        return SolverConfig(method=method, step_size=self.step_size, max_iters=self.max_iters,
+                            stop_tol=self.stop_tol, pinv_tol=self.pinv_tol,
+                            gauss_seidel=self.gauss_seidel)
 
     @property
     def pbar(self) -> int:
@@ -199,19 +207,7 @@ def _initial_model(config: ExperimentConfig, problem: Problem, replicate: int) -
 
 def _run_method(method: str, config: ExperimentConfig, problem: Problem,
                 init: CPModel) -> ConvergenceTrace:
-    if method in ("rgd", "rgn"):
-        cfg = SolverConfig(method=method, step_size=config.step_size,
-                           max_iters=config.max_iters, stop_tol=config.stop_tol,
-                           pinv_tol=config.pinv_tol, gauss_seidel=config.gauss_seidel)
-        _, trace = run(problem, cfg, init)
-        return trace
-    if config.task == "decompose":
-        _, trace = cp_als_decompose(problem.y.reshape(config.dims), config.rank,
-                                    init, config.max_iters, truth=problem.truth)
-    else:
-        _, trace = cp_als_regress(problem.op, problem.y, config.rank, init,
-                                  config.max_iters, truth=problem.truth)
-    return trace
+    return run(problem, config.solver_config(method), init)[1]
 
 
 @dataclass

@@ -27,7 +27,8 @@ from .tensor import check_tensor, contract_all_modes, fro_norm, unfold
 
 logger = logging.getLogger(__name__)
 
-InitMethod = str  # "random" | "cpca" | "adjoint-cpca"
+InitMethod = str  # one of INIT_METHODS
+INIT_METHODS = ("random", "cpca", "adjoint-cpca")
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class InitSpec:
     refine_sweeps: int = 0
 
     def __post_init__(self):
-        if self.method not in ("random", "cpca", "adjoint-cpca"):
+        if self.method not in INIT_METHODS:
             raise ValueError(f"unknown init method {self.method!r}")
         if self.refine_sweeps < 0:
             raise ValueError("refine_sweeps must be >= 0")

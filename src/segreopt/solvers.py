@@ -1,9 +1,13 @@
 """Iterative solvers: Riemannian gradient descent and Riemannian Gauss-Newton
-over products of rank-one manifolds.
+over products of rank-one manifolds, and the driver that iterates them.
 
-Both methods update all components of one iteration from the residual frozen
-at iteration start (Jacobi style); a Gauss-Seidel variant that refreshes the
-residual after each component sits behind a config flag.
+Each method is a step function from one :class:`SolverState` to the next:
+:func:`rgd_step`, :func:`rgn_step`, and the CP-ALS sweep ``als.als_step``.
+:func:`run` iterates any of them and owns the stall rule, the divergence
+guard and the trace.  RGD and RGN update all components of one iteration
+from the residual frozen at iteration start (Jacobi style); a Gauss-Seidel
+variant that refreshes the residual after each component sits behind a
+config flag.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .tensor import batched_contract_all_but
 logger = logging.getLogger(__name__)
 
 TRACE_COLUMNS = ("iter", "rel_fro_err", "max_comp_err", "residual", "wall_ms")
+METHODS = ("rgd", "rgn", "als")
 
 
 class SolverError(RuntimeError):
@@ -78,7 +83,7 @@ class Problem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "rgn"  # "rgd" | "rgn"
+    method: str = "rgn"  # one of METHODS
     step_size: float | Callable[[int], float] = 0.2
     max_iters: int = 50
     stop_tol: float = 1e-12
@@ -86,14 +91,15 @@ class SolverConfig:
     gauss_seidel: bool = False
 
     def __post_init__(self):
-        if self.method not in ("rgd", "rgn"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if not callable(self.step_size) and not 0 < self.step_size <= 1:
-            raise ValueError("step size must lie in (0, 1]")
+            raise ValueError(f"step_size must lie in (0, 1], got {self.step_size}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.stop_tol <= 0 or self.pinv_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("stop_tol", "pinv_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     def alpha(self, t: int) -> float:
         """Step size of iteration ``t``; a schedule's value is checked like a constant's."""
@@ -313,6 +319,8 @@ def run(problem: Problem, config: SolverConfig, init: CPModel) -> tuple[CPModel,
     relative residual change drops below ``stop_tol``.  Raises
     :class:`SolverError`, carrying the trace so far, if an update degenerates
     or the residual norm stops being finite."""
+    from .als import als_step  # als imports this module
+
     if init.rank != problem.rank:
         raise ValueError(f"init rank {init.rank} does not match problem rank {problem.rank}")
     if init.shape != problem.op.shape:
@@ -325,8 +333,10 @@ def run(problem: Problem, config: SolverConfig, init: CPModel) -> tuple[CPModel,
         try:
             if config.method == "rgd":
                 state = rgd_step(state, problem, config.alpha(t), config.gauss_seidel)
-            else:
+            elif config.method == "rgn":
                 state = rgn_step(state, problem, config.pinv_tol, config.gauss_seidel)
+            else:
+                state = als_step(state, problem)
         except SolverError as exc:
             exc.trace = trace
             raise

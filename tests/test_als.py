@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from segreopt.als import cp_als_decompose, cp_als_regress
+from segreopt.als import als_step, cp_als_decompose, cp_als_regress
 from segreopt.initialization import InitSpec, init_decomposition
 from segreopt.manifold import CPModel, align_and_error
-from segreopt.operators import GaussianDesignOp
-from segreopt.solvers import SolverError
+from segreopt.operators import GaussianDesignOp, IdentityOp
+from segreopt.solvers import Problem, SolverError, SolverState
 
 
 def orthogonal_model(rng, shape, r, weights):
@@ -47,6 +47,14 @@ class TestDecompose:
         _, trace = cp_als_decompose(y, 3, init, 15, truth=truth)
         res = trace.column("residual")
         assert np.all(res[1:] <= res[:-1] + 1e-10)
+
+    def test_stalled_residual_ends_the_sweeps(self):
+        rng = np.random.default_rng(3)
+        truth = orthogonal_model(rng, (6, 6, 6), 3, [4.0, 3.0, 2.0])
+        y = truth.embed() + 0.1 * rng.standard_normal(truth.shape)
+        init = init_decomposition(y, 3, InitSpec(method="random", seed=0))
+        _, trace = cp_als_decompose(y, 3, init, 50, truth=truth)
+        assert len(trace.records) < 51
 
     def test_unit_columns_every_sweep(self):
         rng = np.random.default_rng(4)
@@ -94,6 +102,23 @@ class TestRegress:
         model, trace = cp_als_regress(op, y, 1, init, 0)
         assert len(trace.records) == 1
         assert align_and_error(model, init).max_component_error <= 1e-12
+
+
+@pytest.mark.parametrize("task", ["decompose", "regress"])
+def test_step_residual_matches_the_model(task):
+    # the regression sweep reads its residual off the last block solve's fit
+    rng = np.random.default_rng(8)
+    shape = (5, 4, 3)
+    truth = orthogonal_model(rng, shape, 2, [3.0, 2.0])
+    op = IdentityOp(shape) if task == "decompose" else GaussianDesignOp.from_seed(13, shape, 150)
+    y = op.apply(truth.embed()) + 0.05 * rng.standard_normal(op.output_dim)
+    problem = Problem(op, y, 2)
+    state = SolverState.initial(
+        problem, init_decomposition(op.adjoint(y), 2, InitSpec(method="random", seed=5)))
+    for _ in range(3):
+        state = als_step(state, problem)
+        expected = y - op.apply(state.model.embed())
+        assert np.linalg.norm(state.residual - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("task", ["decompose", "regress"])

@@ -334,10 +334,18 @@ class TestPresets:
         assert len(combos) == 9
 
     @pytest.mark.parametrize("field, value", [("n_samples", 0), ("n_samples", -3), ("rank", 0),
-                                              ("design_scale", 0.0), ("design_scale", -1.0)])
+                                              ("design_scale", 0.0), ("design_scale", -1.0),
+                                              ("step_size", 5.0), ("stop_tol", 0.0),
+                                              ("pinv_tol", -1.0), ("init_method", "bogus"),
+                                              ("task", "decompose"), ("methods", ())])
     def test_out_of_range_config_rejected(self, field, value):
+        # checked at construction, before any instance is built; the base
+        # config's adjoint-cpca init is out of range for a decompose task,
+        # and its step size is checked although only ALS runs
+        base = {"task": "regress", "dims": (4, 4, 4), "init_method": "adjoint-cpca",
+                "methods": ("als",)}
         with pytest.raises(ValueError, match=field):
-            ExperimentConfig(task="regress", dims=(4, 4, 4), **{field: value})
+            ExperimentConfig(**{**base, field: value})
 
     def test_to_dict_round_trips(self):
         for name in preset_names():

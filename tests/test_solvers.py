@@ -480,8 +480,9 @@ class TestRun:
         truth = orthogonal_model(rng, (4, 4, 4), 2, [2.0, 1.0])
         prob = identity_problem(truth)
         bad_init = CPModel(truth.components[:1])
-        with pytest.raises(ValueError):
-            run(prob, SolverConfig(), bad_init)
+        for method in ("rgd", "rgn", "als"):
+            with pytest.raises(ValueError, match="init rank"):
+                run(prob, SolverConfig(method=method), bad_init)
 
     def test_step_size_schedule_callback(self):
         rng = np.random.default_rng(18)
