@@ -10,7 +10,9 @@ Subcommands:
 
 Config fields can be overridden by environment variables prefixed with
 ``SEGREOPT_`` (e.g. ``SEGREOPT_REPLICATES=5``); flags take precedence over
-the environment, which takes precedence over the file.
+the environment, which takes precedence over the file.  A configuration
+that cannot be read or is invalid ends with ``error: ...`` on stderr and
+exit status 2.
 """
 
 from __future__ import annotations
@@ -39,9 +41,13 @@ def _env_overrides() -> dict:
         "rho": float, "step_size": float, "kappa": float, "n_samples": int,
     }
     for name, cast in fields.items():
-        raw = os.environ.get(ENV_PREFIX + name.upper())
+        var = ENV_PREFIX + name.upper()
+        raw = os.environ.get(var)
         if raw is not None:
-            out[name] = cast(raw)
+            try:
+                out[name] = cast(raw)
+            except ValueError as exc:
+                raise ValueError(f"{var}: {exc}") from None
     return out
 
 
@@ -88,12 +94,21 @@ def main(argv: list[str] | None = None) -> int:
         _add_common(p)
     args = parser.parse_args(argv)
 
-    base = _load_base(args)
     task = args.command if args.command in ("decompose", "regress") else None
-    base = _apply_flags(base, args, task)
+    try:
+        base = _apply_flags(_load_base(args), args, task)
+        if args.command == "bench":
+            configs = expand_grid(base)
+        else:
+            if base.pop("grid", None):
+                print("note: ignoring grid field outside `bench`", file=sys.stderr)
+            cfg = ExperimentConfig.from_dict(base)
+    except (OSError, ValueError) as exc:
+        # a bad configuration, not a failed run
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if args.command == "bench":
-        configs = expand_grid(base)
         # every grid field names the cell, so no two cells share a directory
         extra = sorted(set(base.get("grid") or ()) - {"noise_sd", "rho"})
         failed = 0
@@ -112,10 +127,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"[bench]   {method}: final rms rel err {summary.final_error(method):.3e}")
         return 1 if failed == len(configs) else 0
 
-    grid = base.pop("grid", None)
-    if grid:
-        print("note: ignoring grid field outside `bench`", file=sys.stderr)
-    cfg = ExperimentConfig.from_dict(base)
     try:
         summary = run_experiment(cfg, args.out)
     except SolverError as exc:

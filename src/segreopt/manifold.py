@@ -31,7 +31,12 @@ _TIE_TOL = 1e-12
 
 class DegenerateInputError(ValueError):
     """Raised when an operation receives an input it cannot represent
-    (zero tensor to retract, zero weight, ...)."""
+    (zero tensor to retract, zero weight, ...).  ``column`` is the index of
+    the offending column when the operation works on several at once."""
+
+    def __init__(self, message: str, column: int | None = None):
+        super().__init__(message)
+        self.column = column
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,7 @@ class SegrePoint:
             f = np.asarray(f, dtype=np.float64)
             if f.ndim != 1 or f.size == 0:
                 raise ValueError(f"factor {l} must be a nonempty vector")
-            nrm = np.linalg.norm(f)
+            nrm = math.sqrt(f.dot(f))
             if abs(nrm - 1.0) > _UNIT_TOL:
                 raise ValueError(f"factor {l} is not unit norm (||u|| = {nrm})")
             fixed.append(f / nrm)
@@ -108,10 +113,11 @@ class CPModel:
         return np.column_stack([c.factors[mode] for c in self.components])
 
     def embed(self) -> np.ndarray:
-        out = self.components[0].embed()
-        for c in self.components[1:]:
-            out += c.embed()
-        return out
+        """The dense sum of the components, as one product
+        ``(U_0 diag(w)) khatri_rao(U_1, ..., U_{d-1})^T`` of the mode-0 unfolding."""
+        d = len(self.shape)
+        kr = khatri_rao([self.factor_matrix(l) for l in range(1, d)])
+        return ((self.factor_matrix(0) * self.weights) @ kr.T).reshape(self.shape)
 
     @classmethod
     def from_factors(cls, weights, factor_matrices) -> "CPModel":
@@ -214,15 +220,25 @@ def tangent_basis(point: SegrePoint) -> TangentBasis:
     return TangentBasis(point=point, vectors=vectors)
 
 
-def _warn_if_tied(top: float, second: float) -> None:
-    if top - second <= _TIE_TOL * max(top, 1e-300):
+def _warn_if_tied(top, second, skip=False) -> None:
+    """Log once per (near-)tied pair of leading eigenvalues, elementwise over
+    arrays; pairs where ``skip`` holds are not checked."""
+    tied = (top - second <= _TIE_TOL * np.maximum(top, 1e-300)) & ~np.asarray(skip)
+    for _ in range(int(np.count_nonzero(tied))):
         logger.warning("leading singular value is (near-)tied; taking the lowest-index vector")
+
+
+def _lead_signs(u: np.ndarray):
+    """-1 where the largest-magnitude entry of a vector, or of each column
+    of a matrix, is negative (first index on ties), else 1."""
+    j = np.argmax(np.abs(u), axis=0)
+    lead = u[j, np.arange(u.shape[1])] if u.ndim == 2 else u[j]
+    return np.where(lead < 0, -1.0, 1.0)
 
 
 def _sign_fix(u: np.ndarray) -> np.ndarray:
     """Flip so the largest-magnitude entry is positive (first index on ties)."""
-    j = int(np.argmax(np.abs(u)))
-    return -u if u[j] < 0 else u
+    return u * _lead_signs(u)
 
 
 def leading_singular_vector(m: np.ndarray) -> np.ndarray:
@@ -252,46 +268,58 @@ def retract_thosvd(x: np.ndarray) -> SegrePoint:
     return SegrePoint(lam, us)
 
 
-def retract_factored(weight: float, factors: tuple[np.ndarray, ...],
-                     directions: list[np.ndarray]) -> SegrePoint:
-    """:func:`retract_thosvd` of ``weight * u_0 ⊗ ... ⊗ u_{d-1} + sum_k
-    (u_0, ..., h_k, ..., u_{d-1})``, without forming that tensor.
+def retract_factored(weights: np.ndarray, factors: list[np.ndarray],
+                     directions: list[np.ndarray]) -> CPModel:
+    """:func:`retract_thosvd` of ``w_i u_0 ⊗ ... ⊗ u_{d-1} + sum_k (u_0, ...,
+    h_k, ..., u_{d-1})`` for every column ``i``, without forming those tensors.
 
-    ``factors`` are the unit vectors ``u_k``; each direction ``h_k`` must be
-    orthogonal to its ``u_k``.  In the basis ``(u_k, h_k / ||h_k||)`` the Gram
-    matrix of the mode-``k`` unfolding is ``[[w^2 + s_k, w ||h_k||],
-    [w ||h_k||, ||h_k||^2]]`` with ``s_k = sum_{j != k} ||h_j||^2``, so each new
-    factor is the sign-fixed leading eigenvector of that 2 x 2 matrix.  The new
-    weight is the sum's projection onto the new factors.  A mode with
-    ``h_k = 0`` keeps ``u_k``.
+    ``weights`` holds one ``w_i`` per column; ``factors[k]`` is a ``p_k x r``
+    matrix of unit columns ``u_k`` and ``directions[k]`` the matching
+    ``p_k x r`` matrix of ``h_k``, each orthogonal to its ``u_k``.  In the
+    basis ``(u_k, h_k / ||h_k||)`` the Gram matrix of the mode-``k``
+    unfolding is ``[[w^2 + s_k, w ||h_k||], [w ||h_k||, ||h_k||^2]]`` with
+    ``s_k = sum_{j != k} ||h_j||^2``, so each new factor is the sign-fixed
+    leading eigenvector of that 2 x 2 matrix.  The new weight is the sum's
+    projection onto the new factors: for new factors ``sigma_k (cos t_k u_k
+    + sin t_k h_k / ||h_k||)``, with ``sigma_k = +-1`` from the sign fix, it
+    is ``prod_k sigma_k (w prod_k cos t_k + sum_k ||h_k|| sin t_k prod_{j !=
+    k} cos t_j)``.  A mode with ``h_k = 0`` keeps ``u_k``.  Every step is an
+    array operation over all columns.  Raises :class:`DegenerateInputError`,
+    naming the first bad column, for a zero input, a zero weight or a
+    non-finite weight.
     """
-    w = float(weight)
-    norms = np.array([np.linalg.norm(h) for h in directions])
-    sq = norms**2
-    total = w * w + sq.sum()  # trace of every mode's Gram matrix
-    if total == 0.0:
-        raise DegenerateInputError("cannot retract the zero tensor")
+    w = np.asarray(weights, dtype=np.float64)
+    sq = np.array([np.einsum("ai,ai->i", h, h) for h in directions])  # (d, r)
+    norms = np.sqrt(sq)
+    total = w * w + sq.sum(axis=0)  # trace of every mode's Gram matrix
+    zero = total == 0.0
     half_gap = 0.5 * total - sq  # half the difference of the diagonal entries
     off = w * norms
-    for radius in np.hypot(half_gap, off):
-        _warn_if_tied(0.5 * total + radius, 0.5 * total - radius)
+    radius = np.hypot(half_gap, off)
+    _warn_if_tied(0.5 * total + radius, 0.5 * total - radius, skip=zero)
     # the leading eigenvector of [[a, b], [b, c]] is (cos t, sin t) with
     # t = atan2(2b, a - c) / 2
     theta = 0.5 * np.arctan2(off, half_gap)
-    us, along, across = [], [], []
-    for u, h, nrm, t in zip(factors, directions, norms, theta):
-        v = _sign_fix(np.cos(t) * u + np.sin(t) * (h / nrm if nrm > 0.0 else h))
-        us.append(v)
-        along.append(float(np.dot(u, v)))
-        across.append(float(np.dot(h, v)))
-    lam = w * math.prod(along)
-    for k, b in enumerate(across):
-        lam += b * math.prod(along[:k] + along[k + 1 :])
-    if lam == 0.0:
-        raise DegenerateInputError("retraction produced a zero weight")
-    if not math.isfinite(lam):
-        raise DegenerateInputError(f"retraction produced a non-finite weight {lam}")
-    return SegrePoint(lam, tuple(us))
+    cos, sin = np.cos(theta), np.sin(theta)
+    us, signs = [], []
+    for u, h, c, s in zip(factors, directions, cos, sin / np.where(norms > 0.0, norms, 1.0)):
+        v = c * u + s * h
+        signs.append(_lead_signs(v))
+        us.append(v * signs[-1])
+    # row k: the product of cos t_j over j != k
+    others = np.prod(np.where(np.eye(len(us), dtype=bool)[:, :, None], 1.0, cos), axis=1)
+    lam = np.prod(signs, axis=0) * (w * np.prod(cos, axis=0) + (norms * sin * others).sum(axis=0))
+    bad = zero | (lam == 0.0) | ~np.isfinite(lam)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if zero[i]:
+            reason = "cannot retract the zero tensor"
+        elif lam[i] == 0.0:
+            reason = "retraction produced a zero weight"
+        else:
+            reason = f"retraction produced a non-finite weight {lam[i]}"
+        raise DegenerateInputError(f"column {i}: {reason}", column=i)
+    return CPModel.from_factors(lam, us)
 
 
 def incoherence(model: CPModel) -> tuple[list[float], float]:
@@ -324,33 +352,36 @@ class ErrorReport:
     aligned: CPModel
 
 
-def _factor_inner(a: SegrePoint, b: SegrePoint) -> float:
-    """``<embed(a), embed(b)>`` via the factorization identity."""
-    out = a.weight * b.weight
-    for ua, ub in zip(a.factors, b.factors):
-        out *= float(np.dot(ua, ub))
-    return out
-
-
 def align_and_error(estimate: CPModel, truth: CPModel) -> ErrorReport:
     """Greedily match estimate components to truth components and report errors.
 
     Matching maximizes the absolute normalized inner product of embedded
-    components (without replacement; ties broken by lowest index pair).
-    Matched estimates get their weight sign flipped so each pairs
-    nonnegatively with its truth component.  Reported errors:
+    components, ``|prod_k <u_k, x_k>|`` (without replacement; ties broken by
+    lowest index pair).  Matched estimates get their weight sign flipped so
+    each pairs nonnegatively with its truth component.  Reported errors:
     ``max_i ||E_i - T_i|| / |lam_i|`` over matched pairs, and the relative
     Frobenius error of the summed aligned estimate.
+
+    No dense tensor is formed.  With the factor signs of each aligned
+    ``E_i = a_i u_0 ⊗ ... ⊗ u_{d-1}`` chosen so that every ``<u_k, x_k> >= 0``
+    (the signs absorbed into ``a_i``), the error against ``T_i = b_i x_0 ⊗
+    ... ⊗ x_{d-1}`` is the sum of ``d + 1`` rank-one terms that shrink with
+    it: ``(a_i - b_i) u_0 ⊗ ... ⊗ u_{d-1}`` and, per mode ``k``, ``b_i (x_0,
+    ..., x_{k-1}, u_k - x_k, u_{k+1}, ..., u_{d-1})``.  Inner products of
+    rank-one terms are products of per-mode factor inner products, so the
+    Gram matrix of all ``r (d + 1)`` terms gives each ``||E_i - T_i||^2``
+    (its diagonal blocks) and ``||sum_i (E_i - T_i)||^2`` (its sum), in
+    ``O(r^2 d^2 sum_k p_k)``.
     """
     if estimate.rank != truth.rank:
         raise ValueError(f"rank mismatch: {estimate.rank} vs {truth.rank}")
     if estimate.shape != truth.shape:
         raise ValueError(f"shape mismatch: {estimate.shape} vs {truth.shape}")
-    r = estimate.rank
-    corr = np.empty((r, r))
-    for i, e in enumerate(estimate.components):
-        for j, t in enumerate(truth.components):
-            corr[i, j] = abs(_factor_inner(e, t)) / (abs(e.weight) * abs(t.weight))
+    r, d = truth.rank, len(truth.shape)
+    us = [estimate.factor_matrix(k) for k in range(d)]
+    xs = [truth.factor_matrix(k) for k in range(d)]
+    grams = [u.T @ x for u, x in zip(us, xs)]
+    corr = np.abs(np.prod(grams, axis=0))
     perm = [-1] * r
     scratch = corr.copy()
     for _ in range(r):
@@ -359,29 +390,31 @@ def align_and_error(estimate: CPModel, truth: CPModel) -> ErrorReport:
         scratch[i, :] = -1.0
         scratch[:, j] = -1.0
 
-    aligned = []
-    flips = []
-    for j, t in enumerate(truth.components):
-        e = estimate.components[perm[j]]
-        s = -1 if _factor_inner(e, t) < 0 else 1
-        flips.append(s)
-        aligned.append(e if s == 1 else SegrePoint(-e.weight, e.factors))
-    aligned_model = CPModel(tuple(aligned))
+    a, b = estimate.weights[perm], truth.weights
+    us = [u[:, perm] for u in us]
+    inner = np.array([g[perm, range(r)] for g in grams])  # <u_k, x_k> per mode and pair
+    flips = np.where(a * b * np.prod(inner, axis=0) < 0, -1, 1)
+    aligned = [e if s == 1 else SegrePoint(-e.weight, e.factors)
+               for e, s in zip((estimate.components[i] for i in perm), flips)]
+    signs = np.where(inner < 0, -1.0, 1.0)
+    us = [u * s for u, s in zip(us, signs)]
+    a = a * flips * np.prod(signs, axis=0)
 
-    max_err = 0.0
-    total_diff = np.zeros(truth.shape)
-    total_truth = np.zeros(truth.shape)
-    for e, t in zip(aligned_model.components, truth.components):
-        et = t.embed()
-        diff = e.embed() - et
-        max_err = max(max_err, fro_norm(diff) / abs(t.weight))
-        total_diff += diff
-        total_truth += et
-    rel = fro_norm(total_diff) / fro_norm(total_truth)
+    # Gram matrix of the difference terms, ordered term-major: column
+    # t * r + i is term t of pair i (t = 0 the weight term, t = k + 1 mode k's)
+    coef = np.concatenate([a - b] + [b] * d)
+    gram = np.outer(coef, coef)
+    for k, (u, x) in enumerate(zip(us, xs)):
+        f = np.hstack([u] + [x if k < t else u - x if k == t else u for t in range(d)])
+        gram *= f.T @ f
+    comp_sq = np.einsum("siti->i", gram.reshape(d + 1, r, d + 1, r))
+    truth_sq = b @ np.prod([x.T @ x for x in xs], axis=0) @ b
+    max_err = float(np.max(np.sqrt(np.maximum(comp_sq, 0.0)) / np.abs(b)))
+    rel = math.sqrt(max(float(gram.sum()), 0.0)) / math.sqrt(truth_sq)
     return ErrorReport(
         max_component_error=max_err,
         rel_frobenius_error=rel,
         permutation=tuple(perm),
-        sign_flips=tuple(flips),
-        aligned=aligned_model,
+        sign_flips=tuple(int(s) for s in flips),
+        aligned=CPModel(tuple(aligned)),
     )

@@ -127,11 +127,15 @@ def _residual(problem: Problem, model: CPModel) -> np.ndarray:
     return problem.y - problem.op.apply(model.embed())
 
 
-def _retract_component(weight: float, factors: tuple[np.ndarray, ...],
-                       directions: list[np.ndarray], i: int) -> SegrePoint:
+def _retract(weights: np.ndarray, factors: list[np.ndarray], directions: list[np.ndarray],
+             first: int = 0) -> CPModel:
+    """:func:`retract_factored`, with a degenerate column reported as a
+    :class:`SolverError` naming its component; column ``j`` is component
+    ``first + j``."""
     try:
-        return retract_factored(weight, factors, directions)
+        return retract_factored(weights, factors, directions)
     except DegenerateInputError as exc:
+        i = first + exc.column
         raise SolverError(f"update of component {i} failed: {exc}", component=i) from exc
 
 
@@ -144,18 +148,21 @@ def rgd_step(state: SolverState, problem: Problem, alpha: float,
     op = problem.op
     model = state.model
     factors = [model.factor_matrix(l) for l in range(len(model.shape))]
+    weights = model.weights
     cores, hs = tangent_parts(op.adjoint(-state.residual), factors)
-    if gauss_seidel:
-        total = model.embed()
+    if not gauss_seidel:
+        model = _retract(weights - alpha * cores, factors, [-alpha * h for h in hs])
+        return SolverState(model, state.iteration + 1, _residual(problem, model))
+    total = model.embed()
     new_comps: list[SegrePoint] = []
     for i, point in enumerate(model.components):
-        if gauss_seidel and i > 0:
+        if i > 0:
             cores, hs = tangent_parts(op.adjoint(op.apply(total) - problem.y), factors)
-        new_point = _retract_component(point.weight - alpha * cores[i], point.factors,
-                                       [-alpha * h[:, i] for h in hs], i)
+        col = slice(i, i + 1)
+        (new_point,) = _retract(weights[col] - alpha * cores[col], [u[:, col] for u in factors],
+                                [-alpha * h[:, col] for h in hs], i).components
         new_comps.append(new_point)
-        if gauss_seidel:
-            total = total - point.embed() + new_point.embed()
+        total = total - point.embed() + new_point.embed()
     model = CPModel(tuple(new_comps))
     return SolverState(model, state.iteration + 1, _residual(problem, model))
 
@@ -240,20 +247,24 @@ def rgn_step(state: SolverState, problem: Problem, pinv_tol: float = 1e-10,
         vs = batched_contract_all_but(op.designs, factors, range(d))
     applied = _applied(vs, factors[0], model.weights)
     total_applied = applied.sum(axis=0)
-    new_comps: list[SegrePoint] = []
-    for i, point in enumerate(model.components):
-        rhs = problem.y - (total_applied - applied[i])
-        core, hs = _fit_tangent(vs, i, point.factors, rhs, pinv_tol)
-        new_point = _retract_component(core, point.factors, hs, i)
-        new_comps.append(new_point)
-        if gauss_seidel:
+    if gauss_seidel:
+        new_comps: list[SegrePoint] = []
+        for i, point in enumerate(model.components):
+            rhs = problem.y - (total_applied - applied[i])
+            core, hs = _fit_tangent(vs, i, point.factors, rhs, pinv_tol)
+            (new_point,) = _retract(np.array([core]), [u[:, i : i + 1] for u in factors],
+                                    [h[:, None] for h in hs], i).components
+            new_comps.append(new_point)
             new_applied = op.apply(new_point.embed())
             total_applied += new_applied - applied[i]
             applied[i] = new_applied
-    model = CPModel(tuple(new_comps))
-    if gauss_seidel:
         # every component's image is already that of the new one
-        return SolverState(model, state.iteration + 1, problem.y - total_applied)
+        return SolverState(CPModel(tuple(new_comps)), state.iteration + 1,
+                           problem.y - total_applied)
+    cores, hs = zip(*(_fit_tangent(vs, i, point.factors, problem.y - (total_applied - applied[i]),
+                                   pinv_tol)
+                      for i, point in enumerate(model.components)))
+    model = _retract(np.array(cores), factors, [np.column_stack(h) for h in zip(*hs)])
     # one pass at the new factors gives the residual now and the next
     # iteration's design matrices
     factors = [model.factor_matrix(l) for l in range(d)]

@@ -52,25 +52,12 @@ def outer_rank_one(weight: float, factors: list[np.ndarray] | tuple[np.ndarray, 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     """Mode-``mode`` matricization, shape ``(p_k, p*/p_k)``.
 
-    Fiber/column ordering follows the module convention above;
-    ``refold(unfold(t, k), k, t.shape)`` reproduces ``t`` bit-exactly.
+    Fiber/column ordering follows the module convention above.
     """
     t = np.asarray(t)
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
     return np.moveaxis(t, mode, 0).reshape(t.shape[mode], -1)
-
-
-def refold(m: np.ndarray, mode: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`unfold` for a tensor of the given shape."""
-    shape = tuple(shape)
-    if not 0 <= mode < len(shape):
-        raise ValueError(f"mode {mode} out of range for shape {shape}")
-    rest = shape[:mode] + shape[mode + 1 :]
-    m = np.asarray(m)
-    if m.shape != (shape[mode], int(np.prod(rest, dtype=np.int64))):
-        raise ValueError(f"matrix shape {m.shape} does not match unfolding of {shape}")
-    return np.moveaxis(m.reshape((shape[mode],) + rest), 0, mode)
 
 
 def inner(t: np.ndarray, s: np.ndarray) -> float:
@@ -112,19 +99,6 @@ def contract_all_modes(t: np.ndarray, vectors: list[np.ndarray] | tuple[np.ndarr
     return float(out)
 
 
-def contract_all_but(t: np.ndarray, vectors: list[np.ndarray] | tuple[np.ndarray, ...], keep: int) -> np.ndarray:
-    """Contract every mode except ``keep`` with the matching vector.
-
-    Returns the length-``p_keep`` vector ``t x_{l != keep} v_l^T``.
-    """
-    out = np.asarray(t)
-    for l in range(len(vectors) - 1, -1, -1):
-        if l == keep:
-            continue
-        out = np.tensordot(out, vectors[l], axes=([l], [0]))
-    return out
-
-
 # The stack is streamed in blocks of whole tensors spanning about this many
 # bytes, so that every contraction of a block reads it from cache.
 _BLOCK_BYTES = 2 << 20
@@ -132,8 +106,9 @@ _BLOCK_BYTES = 2 << 20
 
 def batched_contract_all_but(stack: np.ndarray, factors: list[np.ndarray] | tuple[np.ndarray, ...],
                              keep: Iterable[int]) -> list[np.ndarray]:
-    """:func:`contract_all_but` for every tensor of a stack, every column of
-    the factor matrices and every kept mode, reading the stack once.
+    """Contractions of every tensor of a stack with the factor columns of
+    all modes but one, for every column and every kept mode, reading the
+    stack once.
 
     ``stack`` has shape ``(n,) + shape`` and ``factors[l]`` is ``p_l x r``.
     Returns one ``(n, p_k, r)`` array per mode ``k`` in ``keep`` (in that

@@ -69,6 +69,27 @@ def test_missing_preset_and_config_errors(tmp_path):
         main(["decompose", "--out", str(tmp_path / "x")])
 
 
+@pytest.mark.parametrize("env, argv", [
+    ({"SEGREOPT_RHO": "2"}, ["decompose", "--preset", "smoke-decompose"]),
+    ({"SEGREOPT_SEED": "abc"}, ["decompose", "--preset", "smoke-decompose"]),
+    ({}, ["bench", "--preset", "smoke-decompose", "--replicates", "0"]),
+    ({}, ["decompose", "--config", "{missing}"]),
+    ({}, ["decompose", "--config", "{bad_json}"]),
+], ids=["env-rho", "env-seed", "bench-replicates", "missing-config", "bad-json-config"])
+def test_bad_configuration_ends_in_error_line(tmp_path, monkeypatch, capsys, env, argv):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    paths = {"missing": str(tmp_path / "missing.json"), "bad_json": str(bad_json)}
+    out = tmp_path / "out"
+    rc = main([a.format(**paths) for a in argv] + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_package_exports_resolve():
     names = segreopt.__all__
     assert len(set(names)) == len(names)

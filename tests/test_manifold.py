@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dense_reference as dense
+
 from segreopt import tensor as tc
 from segreopt.manifold import (
     CPModel,
@@ -74,6 +76,15 @@ class TestCPModel:
         rebuilt = CPModel.from_factors(model.weights,
                                        [model.factor_matrix(l) for l in range(2)])
         assert np.allclose(rebuilt.embed(), model.embed())
+
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 5, 3), (3, 2, 4, 2)])
+    def test_embed_is_sum_of_outer_products(self, shape):
+        rng = np.random.default_rng(3)
+        model = CPModel(tuple(random_point(rng, shape) for _ in range(3)))
+        dense = sum(tc.outer_rank_one(c.weight, c.factors) for c in model.components)
+        got = model.embed()
+        assert got.shape == shape
+        assert tc.fro_norm(got - dense) <= 1e-14 * tc.fro_norm(dense)
 
 
 class TestProjectTangent:
@@ -217,6 +228,11 @@ class TestRetraction:
             retract_thosvd(np.zeros((3, 3, 3)))
 
 
+def columns(vectors):
+    """One-column matrices, the form :func:`retract_factored` takes for a single point."""
+    return [np.asarray(v)[:, None] for v in vectors]
+
+
 class TestFactoredRetraction:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -246,7 +262,7 @@ class TestFactoredRetraction:
         except DegenerateInputError:
             assume(False)
         assume(abs(dense.weight) >= 1e-6 * tc.fro_norm(x))
-        got = retract_factored(w, pt.factors, hs)
+        (got,) = retract_factored(np.array([w]), columns(pt.factors), columns(hs)).components
         want = dense.embed()
         assert tc.fro_norm(got.embed() - want) <= 1e-12 * tc.fro_norm(want)
 
@@ -254,7 +270,7 @@ class TestFactoredRetraction:
         rng = np.random.default_rng(40)
         pt = random_point(rng, (3, 4, 5))
         with pytest.raises(DegenerateInputError):
-            retract_factored(0.0, pt.factors, [np.zeros(p) for p in pt.shape])
+            retract_factored(np.zeros(1), columns(pt.factors), [np.zeros((p, 1)) for p in pt.shape])
 
     def test_zero_weight_degenerate_like_dense(self):
         e1, e2 = np.eye(3)[0], np.eye(3)[1]
@@ -263,14 +279,15 @@ class TestFactoredRetraction:
         with pytest.raises(DegenerateInputError):
             retract_thosvd(embed_tangent(0.0, factors, hs))
         with pytest.raises(DegenerateInputError):
-            retract_factored(0.0, factors, hs)
+            retract_factored(np.zeros(1), columns(factors), columns(hs))
 
     def test_zero_direction_keeps_factor(self):
         rng = np.random.default_rng(41)
         pt = random_point(rng, (4, 5, 3))
         h = rng.standard_normal(5)
         h -= np.dot(pt.factors[1], h) * pt.factors[1]
-        got = retract_factored(pt.weight, pt.factors, [np.zeros(4), h, np.zeros(3)])
+        (got,) = retract_factored(np.array([pt.weight]), columns(pt.factors),
+                                  columns([np.zeros(4), h, np.zeros(3)])).components
         for k in (0, 2):
             u = pt.factors[k]
             assert np.allclose(got.factors[k], u if u[np.argmax(np.abs(u))] > 0 else -u,
@@ -281,7 +298,7 @@ class TestFactoredRetraction:
         factors = (e1, e1)
         hs = [e2, e2]  # e2 ⊗ e1 + e1 ⊗ e2 has two equal singular values
         for retract in (lambda: retract_thosvd(embed_tangent(0.0, factors, hs)),
-                        lambda: retract_factored(0.0, factors, hs)):
+                        lambda: retract_factored(np.zeros(1), columns(factors), columns(hs))):
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="segreopt.manifold"):
                 try:
@@ -289,6 +306,109 @@ class TestFactoredRetraction:
                 except DegenerateInputError:
                     pass  # the tied vectors taken may pair to a zero weight
             assert any("tied" in m for m in caplog.messages)
+
+
+    def test_first_bad_column_named(self):
+        rng = np.random.default_rng(42)
+        pts = [random_point(rng, (3, 4, 2)) for _ in range(3)]
+        factors = [np.column_stack([p.factors[k] for p in pts]) for k in range(3)]
+        weights = np.array([pts[0].weight, 0.0, 0.0])
+        directions = [np.zeros_like(u) for u in factors]  # columns 1 and 2 are zero
+        with pytest.raises(DegenerateInputError, match="column 1") as exc_info:
+            retract_factored(weights, factors, directions)
+        assert exc_info.value.column == 1
+
+
+def perturbed_copy(truth, rng, scale):
+    """``truth`` with its components permuted, every factor and weight sign
+    drawn at random, and every factor and weight perturbed at ``scale``."""
+    comps = []
+    for i in rng.permutation(truth.rank):
+        c = truth.components[i]
+        fs = []
+        for u in c.factors:
+            v = rng.choice([-1.0, 1.0]) * (u + scale * rng.standard_normal(u.size))
+            fs.append(v / np.linalg.norm(v))
+        w = rng.choice([-1.0, 1.0]) * c.weight * (1.0 + scale * rng.standard_normal())
+        comps.append(SegrePoint(w, tuple(fs)))
+    return CPModel(tuple(comps))
+
+
+def greedy_margin(estimate, truth):
+    """Smallest margin, over the greedy matching's steps, by which the
+    picked correlation beats the others in its row and column.  Near-ties
+    between entries in different rows and columns do not change the result:
+    both get picked."""
+    corr = np.abs(np.prod([estimate.factor_matrix(k).T @ truth.factor_matrix(k)
+                           for k in range(len(truth.shape))], axis=0))
+    margin = np.inf
+    for _ in range(truth.rank):
+        i, j = np.unravel_index(int(np.argmax(corr)), corr.shape)
+        rivals = np.concatenate([np.delete(corr[i], j), np.delete(corr[:, j], i)])
+        if rivals.size:
+            margin = min(margin, corr[i, j] - rivals.max())
+        corr = np.delete(np.delete(corr, i, axis=0), j, axis=1)
+    return margin
+
+
+class TestAgainstDenseReference:
+    """The factored kernels against the dense forms in ``dense_reference``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.lists(st.integers(2, 6), min_size=2, max_size=4),
+        r=st.integers(1, 3),
+        log_scale=st.floats(-14.0, -1.0),
+    )
+    def test_align_and_error_matches_dense(self, seed, shape, r, log_scale):
+        rng = np.random.default_rng(seed)
+        truth = CPModel(tuple(
+            random_point(rng, tuple(shape), weight=float(rng.choice([-1, 1]) * rng.uniform(0.5, 3.0)))
+            for _ in range(r)))
+        est = perturbed_copy(truth, rng, 10.0**log_scale)
+        assume(greedy_margin(est, truth) > 1e-9)
+        got = align_and_error(est, truth)
+        want = dense.align_and_error(est, truth)
+        assert got.permutation == want.permutation
+        assert got.sign_flips == want.sign_flips
+        assert abs(got.max_component_error - want.max_component_error) <= 1e-13
+        assert abs(got.rel_frobenius_error - want.rel_frobenius_error) <= 1e-13
+        for a, b in zip(got.aligned.components, want.aligned.components):
+            assert a.weight == b.weight
+            assert all(np.array_equal(f, g) for f, g in zip(a.factors, b.factors))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.lists(st.integers(2, 6), min_size=2, max_size=4),
+        r=st.integers(1, 3),
+    )
+    def test_batched_retraction_matches_dense_per_column(self, seed, shape, r):
+        rng = np.random.default_rng(seed)
+        factors, directions = [], []
+        for p in shape:
+            u = rng.standard_normal((p, r))
+            u /= np.linalg.norm(u, axis=0)
+            h = rng.standard_normal((p, r)) * rng.uniform(0.01, 2.0, size=r)
+            h -= u * np.einsum("ai,ai->i", u, h)
+            h[:, rng.random(r) < 0.25] = 0.0
+            factors.append(u)
+            directions.append(h)
+        weights = rng.choice([-1.0, 1.0], size=r) * rng.uniform(0.1, 3.0, size=r)
+        want = dense.retract_columns(weights, factors, directions)
+        for i in range(r):
+            x = embed_tangent(weights[i], tuple(u[:, i] for u in factors),
+                              [h[:, i] for h in directions])
+            # the leading singular vectors must be well defined, and the
+            # weight clear of round-off
+            for k in range(x.ndim):
+                s = np.linalg.svd(tc.unfold(x, k), compute_uv=False)
+                assume(s[1] <= 0.999 * s[0])
+            assume(abs(want[i].weight) >= 1e-6 * tc.fro_norm(x))
+        got = retract_factored(weights, factors, directions)
+        for g, w in zip(got.components, want):
+            assert tc.fro_norm(g.embed() - w.embed()) <= 1e-12 * tc.fro_norm(w.embed())
 
 
 class TestIncoherence:

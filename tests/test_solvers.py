@@ -475,6 +475,33 @@ class TestRun:
         else:
             assert calls == {"kernel": k + 1, "apply": 1}
 
+    @pytest.mark.parametrize("method", ["rgd", "rgn", "als"])
+    def test_no_dense_rank_one_tensor_per_decomposition_iteration(self, monkeypatch, method):
+        # the identity residual, the retraction and the trace row all stay in
+        # factored form: no outer_rank_one call after the initial trace row
+        import segreopt.manifold as manifold
+
+        rng = np.random.default_rng(19)
+        truth = orthogonal_model(rng, (6, 5, 4), 3, [3.0, 2.0, 1.5])
+        prob = identity_problem(truth, 0.1 * rng.standard_normal(truth.shape))
+        init = perturbed(truth, 0.2, rng)
+        calls = []
+
+        def counted(weight, factors):
+            calls.append(1)
+            return dense_outer(weight, factors)
+
+        dense_outer = tc.outer_rank_one
+        monkeypatch.setattr(tc, "outer_rank_one", counted)
+        monkeypatch.setattr(manifold, "outer_rank_one", counted)
+        counts = []
+        for k in (0, 4):
+            calls.clear()
+            _, trace = run(prob, SolverConfig(method=method, max_iters=k, stop_tol=1e-300), init)
+            assert len(trace.records) == k + 1
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == 0
+
     def test_rank_mismatch_rejected(self):
         rng = np.random.default_rng(17)
         truth = orthogonal_model(rng, (4, 4, 4), 2, [2.0, 1.0])
