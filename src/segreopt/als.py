@@ -56,7 +56,7 @@ def als_step(state: SolverState, problem: Problem) -> SolverState:
     new model's image under the operator, which gives the residual."""
     op, y, model = problem.op, problem.y, state.model
     d, r = len(model.shape), model.rank
-    factors = [model.factor_matrix(l) for l in range(d)]
+    factors = list(model.factors)
     if isinstance(op, IdentityOp):
         y_tensor = y.reshape(op.shape)
         for k in range(d):

@@ -1,9 +1,8 @@
 """Geometry of the manifold of nonzero rank-one tensors.
 
-Points are stored as a scalar weight plus unit factor vectors.  The sign
-convention used throughout: each factor's largest-magnitude entry is made
-positive and any residual sign parity is absorbed into the weight, so a
-tensor has one canonical representative.
+Factor signs are arbitrary, except that the retractions and ``cpca`` make
+each factor's largest-magnitude entry positive and absorb the sign parity
+into the weight; generated truths, random starts and ALS sweeps do not.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ class SegrePoint:
             if f.ndim != 1 or f.size == 0:
                 raise ValueError(f"factor {l} must be a nonempty vector")
             nrm = math.sqrt(f.dot(f))
-            if abs(nrm - 1.0) > _UNIT_TOL:
+            if not abs(nrm - 1.0) <= _UNIT_TOL:  # NaN fails too
                 raise ValueError(f"factor {l} is not unit norm (||u|| = {nrm})")
             fixed.append(f / nrm)
         object.__setattr__(self, "factors", tuple(fixed))
@@ -81,53 +80,83 @@ class SegrePoint:
         return outer_rank_one(self.weight, self.factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CPModel:
-    """Ordered list of rank-one components sharing a shape."""
+    """``r`` rank-one components of one shape in Kruskal form: ``weights`` ``(r,)``
+    and ``factors``, one read-only ``p_k x r`` matrix of unit columns per mode.
+    ``CPModel(points)`` stacks :class:`SegrePoint` s; :meth:`from_factors` takes arrays."""
 
-    components: tuple[SegrePoint, ...]
+    weights: np.ndarray
+    factors: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        comps = tuple(self.components)
+    def __init__(self, components):
+        comps = tuple(components)
         if not comps:
             raise ValueError("model needs at least one component")
         shape = comps[0].shape
         if any(c.shape != shape for c in comps):
             raise ValueError("all components must share one shape")
-        object.__setattr__(self, "components", comps)
+        self._store(np.array([c.weight for c in comps]),
+                    [np.column_stack([c.factors[k] for c in comps]) for k in range(len(shape))])
+
+    def _store(self, weights: np.ndarray, factors: list[np.ndarray]) -> "CPModel":
+        for a in (weights, *factors):
+            a.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "factors", tuple(factors))
+        return self
+
+    @classmethod
+    def _of(cls, weights: np.ndarray, factors: list[np.ndarray]) -> "CPModel":
+        """A model over arrays known to pass :meth:`from_factors`, frozen in place."""
+        return cls.__new__(cls)._store(weights, factors)
+
+    @classmethod
+    def from_factors(cls, weights, factor_matrices) -> "CPModel":
+        """Build from a weight vector and per-mode ``p_k x r`` factor matrices,
+        copied and checked like :class:`SegrePoint`, with renormalized columns."""
+        w = np.array(weights, dtype=np.float64)
+        if w.ndim != 1 or w.size == 0:
+            raise ValueError(f"weights must be a nonempty vector, got shape {w.shape}")
+        bad = (w == 0) | ~np.isfinite(w)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"weight of column {i} must be nonzero and finite, got {w[i]}")
+        if len(factor_matrices) < 2:
+            raise ValueError("need at least two modes")
+        mats = [np.asarray(u, dtype=np.float64) for u in factor_matrices]
+        for k, u in enumerate(mats):
+            if u.ndim != 2:
+                raise ValueError(f"mode {k} factor matrix must be 2-D, got shape {u.shape}")
+            if u.shape[1] != w.size:
+                raise ValueError(f"mode {k} factor matrix has {u.shape[1]} columns "
+                                 f"for {w.size} weights")
+        norms = np.sqrt([np.einsum("ai,ai->i", u, u) for u in mats])
+        off = ~(np.abs(norms - 1.0) <= _UNIT_TOL)
+        if off.any():
+            k, i = np.argwhere(off)[0]
+            raise ValueError(f"mode {k} column {i} is not unit norm (||u|| = {norms[k, i]})")
+        return cls._of(w, [u / n for u, n in zip(mats, norms)])
 
     @property
     def rank(self) -> int:
-        return len(self.components)
+        return self.weights.size
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.components[0].shape
+        return tuple(u.shape[0] for u in self.factors)
 
     @property
-    def weights(self) -> np.ndarray:
-        return np.array([c.weight for c in self.components])
-
-    def factor_matrix(self, mode: int) -> np.ndarray:
-        """Mode-``mode`` factors stacked as columns, one per component."""
-        return np.column_stack([c.factors[mode] for c in self.components])
+    def components(self) -> tuple[SegrePoint, ...]:
+        """The components as :class:`SegrePoint` s, built on each access."""
+        return tuple(SegrePoint(w, tuple(u[:, i] for u in self.factors))
+                     for i, w in enumerate(self.weights.tolist()))
 
     def embed(self) -> np.ndarray:
         """The dense sum of the components, as one product
         ``(U_0 diag(w)) khatri_rao(U_1, ..., U_{d-1})^T`` of the mode-0 unfolding."""
-        d = len(self.shape)
-        kr = khatri_rao([self.factor_matrix(l) for l in range(1, d)])
-        return ((self.factor_matrix(0) * self.weights) @ kr.T).reshape(self.shape)
-
-    @classmethod
-    def from_factors(cls, weights, factor_matrices) -> "CPModel":
-        """Build from a weight vector and per-mode ``p_l x r`` factor matrices."""
-        r = len(weights)
-        comps = tuple(
-            SegrePoint(float(weights[i]), tuple(u[:, i] for u in factor_matrices))
-            for i in range(r)
-        )
-        return cls(comps)
+        kr = khatri_rao(list(self.factors[1:]))
+        return ((self.factors[0] * self.weights) @ kr.T).reshape(self.shape)
 
 
 def tangent_parts(x: np.ndarray, factors: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -333,8 +362,7 @@ def incoherence(model: CPModel) -> tuple[list[float], float]:
     mus = []
     eta = 0.0
     for l, p in enumerate(model.shape):
-        u = model.factor_matrix(l)
-        gram = u.T @ u
+        gram = model.factors[l].T @ model.factors[l]
         off = np.abs(gram - np.diag(np.diag(gram))).max()
         mus.append(p * off**2)
         eta = max(eta, off)
@@ -378,9 +406,8 @@ def align_and_error(estimate: CPModel, truth: CPModel) -> ErrorReport:
     if estimate.shape != truth.shape:
         raise ValueError(f"shape mismatch: {estimate.shape} vs {truth.shape}")
     r, d = truth.rank, len(truth.shape)
-    us = [estimate.factor_matrix(k) for k in range(d)]
-    xs = [truth.factor_matrix(k) for k in range(d)]
-    grams = [u.T @ x for u, x in zip(us, xs)]
+    xs = truth.factors
+    grams = [u.T @ x for u, x in zip(estimate.factors, xs)]
     corr = np.abs(np.prod(grams, axis=0))
     perm = [-1] * r
     scratch = corr.copy()
@@ -391,11 +418,12 @@ def align_and_error(estimate: CPModel, truth: CPModel) -> ErrorReport:
         scratch[:, j] = -1.0
 
     a, b = estimate.weights[perm], truth.weights
-    us = [u[:, perm] for u in us]
+    us = [u[:, perm] for u in estimate.factors]
     inner = np.array([g[perm, range(r)] for g in grams])  # <u_k, x_k> per mode and pair
     flips = np.where(a * b * np.prod(inner, axis=0) < 0, -1, 1)
+    comps = estimate.components
     aligned = [e if s == 1 else SegrePoint(-e.weight, e.factors)
-               for e, s in zip((estimate.components[i] for i in perm), flips)]
+               for e, s in zip((comps[i] for i in perm), flips)]
     signs = np.where(inner < 0, -1.0, 1.0)
     us = [u * s for u, s in zip(us, signs)]
     a = a * flips * np.prod(signs, axis=0)

@@ -4,10 +4,10 @@ over products of rank-one manifolds, and the driver that iterates them.
 Each method is a step function from one :class:`SolverState` to the next:
 :func:`rgd_step`, :func:`rgn_step`, and the CP-ALS sweep ``als.als_step``.
 :func:`run` iterates any of them and owns the stall rule, the divergence
-guard and the trace.  RGD and RGN update all components of one iteration
-from the residual frozen at iteration start (Jacobi style); a Gauss-Seidel
-variant that refreshes the residual after each component sits behind a
-config flag.
+guard and the trace.  RGD and RGN update the factor matrices in column
+blocks: one block of every component, fitted from the residual frozen at
+iteration start (Jacobi style), or under ``gauss_seidel`` one block per
+component, fitted against the components updated before it.
 """
 
 from __future__ import annotations
@@ -127,16 +127,25 @@ def _residual(problem: Problem, model: CPModel) -> np.ndarray:
     return problem.y - problem.op.apply(model.embed())
 
 
-def _retract(weights: np.ndarray, factors: list[np.ndarray], directions: list[np.ndarray],
-             first: int = 0) -> CPModel:
-    """:func:`retract_factored`, with a degenerate column reported as a
-    :class:`SolverError` naming its component; column ``j`` is component
-    ``first + j``."""
+def _blocks(rank: int, gauss_seidel: bool) -> list[slice]:
+    """Column blocks updated in turn: all at once, or one by one (Gauss-Seidel)."""
+    return [slice(i, i + 1) for i in range(rank)] if gauss_seidel else [slice(0, rank)]
+
+
+def _update(weights: np.ndarray, factors: list[np.ndarray], cols: slice, block_weights: np.ndarray,
+             directions: list[np.ndarray]) -> CPModel:
+    """:func:`retract_factored` of the block ``cols``, whose columns of ``factors`` still
+    hold the starting factors, written into ``weights`` and ``factors`` and returned;
+    a degenerate column is a :class:`SolverError` naming its component."""
     try:
-        return retract_factored(weights, factors, directions)
+        new = retract_factored(block_weights, [u[:, cols] for u in factors], directions)
     except DegenerateInputError as exc:
-        i = first + exc.column
+        i = cols.start + exc.column
         raise SolverError(f"update of component {i} failed: {exc}", component=i) from exc
+    weights[cols] = new.weights
+    for u, v in zip(factors, new.factors):
+        u[:, cols] = v
+    return new
 
 
 def rgd_step(state: SolverState, problem: Problem, alpha: float,
@@ -146,24 +155,14 @@ def rgd_step(state: SolverState, problem: Problem, alpha: float,
     if not 0 < alpha <= 1:
         raise ValueError("step size must lie in (0, 1]")
     op = problem.op
-    model = state.model
-    factors = [model.factor_matrix(l) for l in range(len(model.shape))]
-    weights = model.weights
-    cores, hs = tangent_parts(op.adjoint(-state.residual), factors)
-    if not gauss_seidel:
-        model = _retract(weights - alpha * cores, factors, [-alpha * h for h in hs])
-        return SolverState(model, state.iteration + 1, _residual(problem, model))
-    total = model.embed()
-    new_comps: list[SegrePoint] = []
-    for i, point in enumerate(model.components):
-        if i > 0:
-            cores, hs = tangent_parts(op.adjoint(op.apply(total) - problem.y), factors)
-        col = slice(i, i + 1)
-        (new_point,) = _retract(weights[col] - alpha * cores[col], [u[:, col] for u in factors],
-                                [-alpha * h[:, col] for h in hs], i).components
-        new_comps.append(new_point)
-        total = total - point.embed() + new_point.embed()
-    model = CPModel(tuple(new_comps))
+    start = state.model
+    weights, factors = start.weights.copy(), [u.copy() for u in start.factors]
+    for cols in _blocks(start.rank, gauss_seidel):
+        residual = (state.residual if cols.start == 0
+                    else _residual(problem, CPModel.from_factors(weights, factors)))
+        cores, hs = tangent_parts(op.adjoint(-residual), [u[:, cols] for u in start.factors])
+        _update(weights, factors, cols, weights[cols] - alpha * cores, [-alpha * h for h in hs])
+    model = CPModel._of(weights, factors)
     return SolverState(model, state.iteration + 1, _residual(problem, model))
 
 
@@ -235,41 +234,31 @@ def rgn_step(state: SolverState, problem: Problem, pinv_tol: float = 1e-10,
         # With full observations the Gauss-Newton step coincides with a unit
         # step of gradient descent; share the code path so they match exactly.
         return rgd_step(state, problem, 1.0, gauss_seidel)
-    # One pass over the designs (or the contractions a Jacobi step carried
-    # over) yields every component's tangent design matrix and its image
-    # under the operator; under Gauss-Seidel too, since each design matrix
-    # depends only on its own component's starting factors.
-    model = state.model
-    d = len(model.shape)
-    factors = [model.factor_matrix(l) for l in range(d)]
+    # One pass over the designs (or the contractions the previous step
+    # carried over) yields every component's tangent design matrix and its
+    # image under the operator; under Gauss-Seidel too, since each design
+    # matrix depends only on its own component's starting factors.
+    start = state.model
+    d = len(start.shape)
     vs = state.contractions
     if vs is None:
-        vs = batched_contract_all_but(op.designs, factors, range(d))
-    applied = _applied(vs, factors[0], model.weights)
-    total_applied = applied.sum(axis=0)
-    if gauss_seidel:
-        new_comps: list[SegrePoint] = []
-        for i, point in enumerate(model.components):
-            rhs = problem.y - (total_applied - applied[i])
-            core, hs = _fit_tangent(vs, i, point.factors, rhs, pinv_tol)
-            (new_point,) = _retract(np.array([core]), [u[:, i : i + 1] for u in factors],
-                                    [h[:, None] for h in hs], i).components
-            new_comps.append(new_point)
-            new_applied = op.apply(new_point.embed())
-            total_applied += new_applied - applied[i]
-            applied[i] = new_applied
-        # every component's image is already that of the new one
-        return SolverState(CPModel(tuple(new_comps)), state.iteration + 1,
-                           problem.y - total_applied)
-    cores, hs = zip(*(_fit_tangent(vs, i, point.factors, problem.y - (total_applied - applied[i]),
-                                   pinv_tol)
-                      for i, point in enumerate(model.components)))
-    model = _retract(np.array(cores), factors, [np.column_stack(h) for h in zip(*hs)])
+        vs = batched_contract_all_but(op.designs, start.factors, range(d))
+    applied = _applied(vs, start.factors[0], start.weights)
+    weights, factors = start.weights.copy(), [u.copy() for u in start.factors]
+    for cols in _blocks(start.rank, gauss_seidel):
+        if cols.start > 0:
+            # Gauss-Seidel: the image of the one component just updated
+            applied[cols.start - 1] = op.apply(new.embed())
+        total = applied.sum(axis=0)
+        cores, hs = zip(*(_fit_tangent(vs, i, tuple(u[:, i] for u in start.factors),
+                                       problem.y - (total - applied[i]), pinv_tol)
+                          for i in range(cols.start, cols.stop)))
+        new = _update(weights, factors, cols, np.array(cores), [np.column_stack(h) for h in zip(*hs)])
+    model = CPModel._of(weights, factors)
     # one pass at the new factors gives the residual now and the next
     # iteration's design matrices
-    factors = [model.factor_matrix(l) for l in range(d)]
-    vs = batched_contract_all_but(op.designs, factors, range(d))
-    residual = problem.y - _applied(vs, factors[0], model.weights).sum(axis=0)
+    vs = batched_contract_all_but(op.designs, model.factors, range(d))
+    residual = problem.y - _applied(vs, model.factors[0], model.weights).sum(axis=0)
     return SolverState(model, state.iteration + 1, residual, vs)
 
 

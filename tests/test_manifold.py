@@ -47,6 +47,10 @@ class TestSegrePoint:
         with pytest.raises(ValueError):
             SegrePoint(1.0, (np.array([1.0, 1.0]), np.array([1.0, 0.0])))
 
+    def test_requires_finite_factors(self):
+        with pytest.raises(ValueError, match="not unit norm"):
+            SegrePoint(1.0, (np.array([np.nan, 0.0]), np.array([1.0, 0.0])))
+
     def test_requires_nonzero_weight(self):
         with pytest.raises(ValueError):
             SegrePoint(0.0, (np.array([1.0, 0.0]), np.array([1.0, 0.0])))
@@ -70,11 +74,29 @@ class TestCPModel:
         with pytest.raises(ValueError):
             CPModel((random_point(rng, (2, 2)), random_point(rng, (3, 2))))
 
+    @pytest.mark.parametrize("weights,factors,message", [
+        ([1.0], [np.ones(3) / np.sqrt(3)] * 3, "mode 0 factor matrix must be 2-D"),
+        ([1.0], [np.eye(3)[:, :2]] * 3, "mode 0 factor matrix has 2 columns for 1 weights"),
+        ([1.0, 2.0, 3.0], [np.eye(3)[:, :2]] * 3, "mode 0 factor matrix has 2 columns for 3"),
+        ([1.0, 2.0], [np.eye(3)[:, :2]], "at least two modes"),
+        ([], [np.zeros((3, 0))] * 3, "nonempty vector"),
+        ([1.0, 2.0], [np.eye(3)[:, :2], np.eye(3)[:, :2] * [1.0, 1.001]],
+         "mode 1 column 1 is not unit norm"),
+        ([1.0, 2.0], [np.eye(3)[:, :2], np.array([[1.0, np.nan], [0, 0], [0, 0]])],
+         "mode 1 column 1 is not unit norm"),
+        ([1.0, 0.0], [np.eye(3)[:, :2]] * 3, "column 1 must be nonzero and finite"),
+        ([np.inf, 1.0], [np.eye(3)[:, :2]] * 3, "column 0 must be nonzero and finite"),
+        ([1.0, np.nan], [np.eye(3)[:, :2]] * 3, "column 1 must be nonzero and finite"),
+    ], ids=["vector-factor", "extra-column", "missing-column", "one-mode", "no-weights",
+            "non-unit-column", "nan-column", "zero-weight", "infinite-weight", "nan-weight"])
+    def test_from_factors_rejects_bad_input(self, weights, factors, message):
+        with pytest.raises(ValueError, match=message):
+            CPModel.from_factors(weights, factors)
+
     def test_factor_matrix_round_trip(self):
         rng = np.random.default_rng(2)
         model = CPModel(tuple(random_point(rng, (4, 3)) for _ in range(3)))
-        rebuilt = CPModel.from_factors(model.weights,
-                                       [model.factor_matrix(l) for l in range(2)])
+        rebuilt = CPModel.from_factors(model.weights, model.factors)
         assert np.allclose(rebuilt.embed(), model.embed())
 
     @pytest.mark.parametrize("shape", [(4, 3), (2, 5, 3), (3, 2, 4, 2)])
@@ -339,8 +361,7 @@ def greedy_margin(estimate, truth):
     picked correlation beats the others in its row and column.  Near-ties
     between entries in different rows and columns do not change the result:
     both get picked."""
-    corr = np.abs(np.prod([estimate.factor_matrix(k).T @ truth.factor_matrix(k)
-                           for k in range(len(truth.shape))], axis=0))
+    corr = np.abs(np.prod([u.T @ x for u, x in zip(estimate.factors, truth.factors)], axis=0))
     margin = np.inf
     for _ in range(truth.rank):
         i, j = np.unravel_index(int(np.argmax(corr)), corr.shape)

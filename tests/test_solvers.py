@@ -54,6 +54,18 @@ def perturbed(model, eps, rng):
     return CPModel(tuple(comps))
 
 
+def smoke_start(preset):
+    """Replicate 0 of a smoke preset, its config and the harness's starting model."""
+    cfg = config_from_preset(preset)
+    prob = gen_instance(cfg, 0)
+    if cfg.task == "decompose":
+        start = init_decomposition(prob.y.reshape(cfg.dims), cfg.rank,
+                                   InitSpec(seed=cfg.seed, refine_sweeps=cfg.init_refine_sweeps))
+    else:
+        start = init_regression(prob.op, prob.y, cfg.rank, cfg.cpca_split)
+    return cfg, prob, start
+
+
 def identity_problem(model, noise=None):
     y = model.embed()
     if noise is not None:
@@ -132,14 +144,8 @@ class TestRgdStep:
         # one step equals projecting the ambient gradient onto each tangent
         # space, stepping and retracting the dense tensor, with the gradient
         # refreshed after each component under Gauss-Seidel
-        cfg = config_from_preset(preset)
-        prob = gen_instance(cfg, 0)
+        cfg, prob, start = smoke_start(preset)
         op = prob.op
-        if cfg.task == "decompose":
-            start = init_decomposition(prob.y.reshape(cfg.dims), cfg.rank,
-                                       InitSpec(seed=cfg.seed, refine_sweeps=cfg.init_refine_sweeps))
-        else:
-            start = init_regression(op, prob.y, cfg.rank, cfg.cpca_split)
         state = SolverState.initial(prob, start)
         alpha = cfg.step_size
         got = rgd_step(state, prob, alpha, gauss_seidel=gauss_seidel)
@@ -448,8 +454,8 @@ class TestRun:
 
     @pytest.mark.parametrize("gauss_seidel", [False, True])
     def test_design_passes_per_iteration(self, monkeypatch, gauss_seidel):
-        # Jacobi RGN reads the design stack once per iteration plus once at the
-        # start; Gauss-Seidel once per iteration plus one apply per component
+        # RGN reads the design stack once per iteration plus once at the start,
+        # and Gauss-Seidel adds one apply per component but the last
         import segreopt.solvers as solvers
 
         cfg = config_from_preset("smoke-regress")
@@ -471,7 +477,7 @@ class TestRun:
                                           gauss_seidel=gauss_seidel), init)
         assert len(trace.records) == k + 1
         if gauss_seidel:
-            assert calls == {"kernel": k, "apply": 1 + cfg.rank * k}
+            assert calls == {"kernel": k + 1, "apply": 1 + (cfg.rank - 1) * k}
         else:
             assert calls == {"kernel": k + 1, "apply": 1}
 
@@ -501,6 +507,45 @@ class TestRun:
             assert len(trace.records) == k + 1
             counts.append(len(calls))
         assert counts[1] - counts[0] == 0
+
+    @pytest.mark.parametrize("gauss_seidel", [False, True])
+    @pytest.mark.parametrize("preset", ["smoke-regress", "smoke-decompose"])
+    @pytest.mark.parametrize("method", ["rgd", "rgn", "als"])
+    def test_no_segre_point_per_iteration(self, monkeypatch, method, preset, gauss_seidel):
+        # the steps and the retraction work on the factor matrices: without a
+        # truth to score against, an iteration builds no SegrePoint
+        cfg, prob, init = smoke_start(preset)
+        prob = Problem(prob.op, prob.y, prob.rank, truth=None)
+        built = []
+        post_init = SegrePoint.__post_init__
+
+        def counted(point):
+            built.append(1)
+            post_init(point)
+
+        monkeypatch.setattr(SegrePoint, "__post_init__", counted)
+        counts = []
+        for k in (0, 4):
+            built.clear()
+            _, trace = run(prob, SolverConfig(method=method, step_size=cfg.step_size, max_iters=k,
+                                              stop_tol=1e-300, gauss_seidel=gauss_seidel), init)
+            assert len(trace.records) == k + 1
+            counts.append(len(built))
+        assert counts[1] == counts[0]
+
+    @pytest.mark.parametrize("gauss_seidel", [False, True])
+    @pytest.mark.parametrize("preset", ["smoke-regress", "smoke-decompose"])
+    def test_methods_leave_init_unchanged(self, preset, gauss_seidel):
+        # run_experiment hands one starting model to every method in turn
+        cfg, prob, init = smoke_start(preset)
+        weights, factors = init.weights.tobytes(), [u.tobytes() for u in init.factors]
+        for method in ("rgd", "rgn", "als"):
+            run(prob, SolverConfig(method=method, step_size=cfg.step_size, max_iters=3,
+                                   gauss_seidel=gauss_seidel), init)
+            assert init.weights.tobytes() == weights
+            assert [u.tobytes() for u in init.factors] == factors
+        with pytest.raises(ValueError, match="read-only"):
+            init.factors[0][0, 0] = 0.0
 
     def test_rank_mismatch_rejected(self):
         rng = np.random.default_rng(17)
