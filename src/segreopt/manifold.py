@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -371,13 +372,23 @@ def incoherence(model: CPModel) -> tuple[list[float], float]:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Result of matching an estimated model against a reference model."""
+    """Result of matching an estimated model against a reference model:
+    ``permutation[j]`` is the estimate component matched to truth component
+    ``j``, and ``sign_flips[j]`` the sign its weight takes in ``aligned``."""
 
     max_component_error: float
     rel_frobenius_error: float
     permutation: tuple[int, ...]
     sign_flips: tuple[int, ...]
-    aligned: CPModel
+    estimate: CPModel = field(repr=False, compare=False)
+
+    @cached_property
+    def aligned(self) -> CPModel:
+        """The matched estimate components in truth order, sign-flipped.
+        Built on first access: a trace row reads only the two errors."""
+        comps = self.estimate.components
+        return CPModel(tuple(e if s == 1 else SegrePoint(-e.weight, e.factors)
+                             for e, s in zip((comps[i] for i in self.permutation), self.sign_flips)))
 
 
 def align_and_error(estimate: CPModel, truth: CPModel) -> ErrorReport:
@@ -421,9 +432,6 @@ def align_and_error(estimate: CPModel, truth: CPModel) -> ErrorReport:
     us = [u[:, perm] for u in estimate.factors]
     inner = np.array([g[perm, range(r)] for g in grams])  # <u_k, x_k> per mode and pair
     flips = np.where(a * b * np.prod(inner, axis=0) < 0, -1, 1)
-    comps = estimate.components
-    aligned = [e if s == 1 else SegrePoint(-e.weight, e.factors)
-               for e, s in zip((comps[i] for i in perm), flips)]
     signs = np.where(inner < 0, -1.0, 1.0)
     us = [u * s for u, s in zip(us, signs)]
     a = a * flips * np.prod(signs, axis=0)
@@ -444,5 +452,5 @@ def align_and_error(estimate: CPModel, truth: CPModel) -> ErrorReport:
         rel_frobenius_error=rel,
         permutation=tuple(perm),
         sign_flips=tuple(int(s) for s in flips),
-        aligned=CPModel(tuple(aligned)),
+        estimate=estimate,
     )

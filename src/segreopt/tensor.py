@@ -16,7 +16,7 @@ Conventions (used everywhere in this package):
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -104,6 +104,35 @@ def contract_all_modes(t: np.ndarray, vectors: list[np.ndarray] | tuple[np.ndarr
 _BLOCK_BYTES = 2 << 20
 
 
+def design_head(stack: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """Every tensor of a stack contracted in mode 0 with every column of
+    ``u0``: shape ``(n, r) + shape[1:]`` for a stack of shape ``(n,) + shape``
+    and ``u0`` of shape ``p_0 x r``, which is ``r / p_0`` the size of the
+    stack.  Slice ``[m, i]`` is ``X_m x_0 u0[:, i]^T``."""
+    n, p0 = stack.shape[:2]
+    r = u0.shape[1]
+    return np.matmul(u0.T, stack.reshape(n, p0, -1)).reshape((n, r) + stack.shape[2:])
+
+
+@cache
+def _head_subscripts(d: int, k: int) -> str:
+    # einsum over a head: "Y" the tensor, "Z" the column, one letter per mode
+    modes = "abcdefghijklmnopqrstuvwx"[:d]
+    others = [l for l in range(1, d) if l != k]
+    return ",".join(["YZ" + modes[1:]] + [modes[l] + "Z" for l in others]) + f"->Y{modes[k]}Z"
+
+
+def contract_head(head: np.ndarray, factors: list[np.ndarray] | tuple[np.ndarray, ...],
+                  k: int) -> np.ndarray:
+    """Mode ``k > 0`` read off a :func:`design_head`: contracts slice
+    ``[m, i]`` with column ``i`` of every factor matrix but those of modes 0
+    and ``k``.  Returns ``(n, p_k, r)``, slice ``[:, :, i]`` the contraction
+    of every tensor with column ``i`` of every mode but ``k``."""
+    d = len(factors)
+    return np.einsum(_head_subscripts(d, k), head,
+                     *(factors[l] for l in range(1, d) if l != k))
+
+
 def batched_contract_all_but(stack: np.ndarray, factors: list[np.ndarray] | tuple[np.ndarray, ...],
                              keep: Iterable[int]) -> list[np.ndarray]:
     """Contractions of every tensor of a stack with the factor columns of
@@ -115,32 +144,25 @@ def batched_contract_all_but(stack: np.ndarray, factors: list[np.ndarray] | tupl
     order) whose slice ``[:, :, i]`` contracts every tensor with column ``i``
     of every other mode's factor matrix.  Per block, mode 0 is kept through
     one product with the Khatri-Rao matrix of the other modes, and every
-    other kept mode is read off the product of the block with ``factors[0]^T``
-    (r rows), which is ``r / p_0`` the size of the block.
+    other kept mode is read by :func:`contract_head` off the block's
+    :func:`design_head`.
     """
     keep = tuple(keep)
     n, p0 = stack.shape[:2]
-    shape = stack.shape[1:]
-    d = len(shape)
     r = factors[0].shape[1]
     rest = stack[0].size // p0
-    outs = [np.empty((n, shape[k], r)) for k in keep]
+    outs = [np.empty((n, stack.shape[1 + k], r)) for k in keep]
     kr = khatri_rao(list(factors[1:])) if 0 in keep else None
-    # einsum over the head: "Y" the block, "Z" the column, one letter per mode
-    modes = "abcdefghijklmnopqrstuvwx"[:d]
-    others = {k: [l for l in range(1, d) if l != k] for k in keep if k > 0}
-    subs = {k: ",".join(["YZ" + modes[1:]] + [modes[l] + "Z" for l in ls]) + f"->Y{modes[k]}Z"
-            for k, ls in others.items()}
+    heads = any(k > 0 for k in keep)
     step = max(1, _BLOCK_BYTES // stack[0].nbytes)
     for lo in range(0, n, step):
         block = stack[lo : lo + step]
         b = block.shape[0]
-        if others:
-            head = np.matmul(factors[0].T, block.reshape(b, p0, rest)).reshape((b, r) + shape[1:])
+        if heads:
+            head = design_head(block, factors[0])
         for out, k in zip(outs, keep):
             if k == 0:
                 out[lo : lo + b] = (block.reshape(b * p0, rest) @ kr).reshape(b, p0, r)
-                continue
-            out[lo : lo + b] = np.einsum(subs[k], head, *(factors[l] for l in others[k]))
+            else:
+                out[lo : lo + b] = contract_head(head, factors, k)
     return outs
-

@@ -6,9 +6,12 @@ form; the tests use them as oracles.  Nothing in ``src/`` imports them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import reduce
+
 import numpy as np
 
-from segreopt.manifold import CPModel, ErrorReport, SegrePoint, embed_tangent, retract_thosvd
+from segreopt.manifold import CPModel, SegrePoint, embed_tangent, retract_thosvd
 from segreopt.tensor import fro_norm
 
 
@@ -53,7 +56,19 @@ def _factor_inner(a: SegrePoint, b: SegrePoint) -> float:
     return out
 
 
-def align_and_error(estimate: CPModel, truth: CPModel) -> ErrorReport:
+@dataclass(frozen=True)
+class DenseErrorReport:
+    """The fields of :class:`segreopt.manifold.ErrorReport`, with the aligned
+    model built here rather than by the library's lazy property."""
+
+    max_component_error: float
+    rel_frobenius_error: float
+    permutation: tuple[int, ...]
+    sign_flips: tuple[int, ...]
+    aligned: CPModel
+
+
+def align_and_error(estimate: CPModel, truth: CPModel) -> DenseErrorReport:
     """Greedily match estimate components to truth components and report errors.
 
     Matching maximizes the absolute normalized inner product of embedded
@@ -99,10 +114,38 @@ def align_and_error(estimate: CPModel, truth: CPModel) -> ErrorReport:
         total_diff += diff
         total_truth += et
     rel = fro_norm(total_diff) / fro_norm(total_truth)
-    return ErrorReport(
+    return DenseErrorReport(
         max_component_error=max_err,
         rel_frobenius_error=rel,
         permutation=tuple(perm),
         sign_flips=tuple(flips),
         aligned=aligned_model,
     )
+
+
+def als_regression_sweep(designs: np.ndarray, y: np.ndarray,
+                         factors: list[np.ndarray] | tuple[np.ndarray, ...]
+                         ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """One textbook CP-ALS sweep of ``min ||y - A(sum_i w_i u_0i ⊗ ... ⊗ u_{d-1,i})||``
+    over the modes in order.  Mode ``k``'s coefficient column ``j * r + i``
+    holds every design's inner product with the dense rank-one tensor whose
+    mode-``k`` factor is the unit vector ``e_j`` and whose other factors are
+    the current columns ``i``; its least-squares solution, read as a
+    ``p_k x r`` matrix, is the new mode-``k`` factor matrix with the weights
+    folded in.  Returns the weights, the unit-column factors and the residual
+    of the last solve."""
+    n = designs.shape[0]
+    flat = designs.reshape(n, -1)
+    factors = [np.array(u, dtype=np.float64) for u in factors]
+    r = factors[0].shape[1]
+    for k, p in enumerate(designs.shape[1:]):
+        cols = []
+        for j in range(p):
+            for i in range(r):
+                vecs = [np.eye(p)[j] if l == k else u[:, i] for l, u in enumerate(factors)]
+                cols.append(reduce(np.multiply.outer, vecs).ravel())
+        coeff = flat @ np.column_stack(cols)
+        sol = np.linalg.lstsq(coeff, y, rcond=None)[0]
+        weights = np.linalg.norm(sol.reshape(p, r), axis=0)
+        factors[k] = sol.reshape(p, r) / weights
+    return weights, factors, y - coeff @ sol

@@ -1,6 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import dense_reference as dense
+
+from segreopt import als
 from segreopt.als import als_step, cp_als_decompose, cp_als_regress
 from segreopt.initialization import InitSpec, init_decomposition
 from segreopt.manifold import CPModel, align_and_error
@@ -14,6 +21,15 @@ def orthogonal_model(rng, shape, r, weights):
         q, _ = np.linalg.qr(rng.standard_normal((p, p)))
         mats.append(q[:, :r])
     return CPModel.from_factors(weights, mats)
+
+
+def unit_columns(m):
+    return m / np.linalg.norm(m, axis=0)
+
+
+def perturbed(model, rng, scale=0.3):
+    return CPModel.from_factors(model.weights, [
+        unit_columns(u + scale * rng.standard_normal(u.shape)) for u in model.factors])
 
 
 class TestDecompose:
@@ -102,6 +118,101 @@ class TestRegress:
         model, trace = cp_als_regress(op, y, 1, init, 0)
         assert len(trace.records) == 1
         assert align_and_error(model, init).max_component_error <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.lists(st.integers(2, 6), min_size=2, max_size=4),
+           r=st.integers(1, 3),
+           extra=st.integers(0, 10))
+    def test_sweep_matches_dense_reference(self, seed, shape, r, extra):
+        # orders 2 and 4 are the edge cases of the head contraction: no
+        # factor to contract at order 2, two at order 4
+        shape = tuple(shape)
+        # every mode's coefficient columns independent
+        assume(all(np.prod(shape[:k] + shape[k + 1:]) >= r for k in range(len(shape))))
+        rng = np.random.default_rng(seed)
+        n = 2 * max(shape) * r + extra
+        op = GaussianDesignOp.from_raw(rng.standard_normal((n,) + shape))
+        truth = CPModel.from_factors(rng.uniform(1.0, 3.0, r), [unit_columns(
+            np.linalg.qr(rng.standard_normal((p, p)))[0][:, :r] if r <= p
+            else rng.standard_normal((p, r))) for p in shape])
+        y = op.apply(truth.embed()) + 0.1 * rng.standard_normal(n)
+        start = perturbed(truth, rng)
+        problem = Problem(op, y, r)
+        got = als_step(SolverState.initial(problem, start), problem)
+        weights, factors, residual = dense.als_regression_sweep(op.designs, y, start.factors)
+        assert np.max(np.abs(got.model.weights - weights) / weights) <= 1e-10
+        for u, v in zip(got.model.factors, factors, strict=True):
+            assert np.max(np.abs(u - v)) <= 1e-10  # unit columns
+        assert np.linalg.norm(got.residual - residual) <= 1e-10 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("shape", [(5, 4), (5, 4, 3), (4, 3, 3, 2)])
+    def test_two_design_reads_per_sweep(self, monkeypatch, shape):
+        # mode 0's kernel pass and the head under the new U_0; every later
+        # mode reads the head, never the stack
+        rng = np.random.default_rng(9)
+        op = GaussianDesignOp.from_seed(14, shape, 80)
+        truth = orthogonal_model(rng, shape, 2, [2.0, 1.0])
+        problem = Problem(op, op.apply(truth.embed()), 2)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                if name == "contract_head":
+                    assert not any(a is op.designs for a in args)
+                elif name not in ("apply", "adjoint"):
+                    assert args[0] is op.designs  # the whole stack
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("batched_contract_all_but", "design_head", "contract_head"):
+            monkeypatch.setattr(als, name, counted(name, getattr(als, name)))
+        for name in ("apply", "adjoint"):
+            monkeypatch.setattr(GaussianDesignOp, name, counted(name, getattr(GaussianDesignOp, name)))
+        state = SolverState.initial(problem, perturbed(truth, rng))
+        calls.clear()
+        for sweeps in (1, 2, 3):
+            state = als_step(state, problem)
+            assert len(calls) - calls.count("contract_head") == 2 * sweeps
+        assert calls == 3 * (["batched_contract_all_but", "design_head"]
+                             + ["contract_head"] * (len(shape) - 1))
+
+    def test_under_determined_mode_gets_minimum_norm_solution(self, caplog):
+        # n < p_k r: the mode's Gram is singular, which solve() does not detect
+        rng = np.random.default_rng(10)
+        shape, r, n = (6, 6, 6), 2, 5
+        op = GaussianDesignOp.from_seed(15, shape, n)
+        truth = orthogonal_model(rng, shape, r, [2.0, 1.0])
+        y = op.apply(truth.embed())
+        problem = Problem(op, y, r)
+        state = SolverState.initial(problem, perturbed(truth, rng))
+        with caplog.at_level(logging.WARNING, logger="segreopt.als"):
+            for _ in range(3):
+                state = als_step(state, problem)
+        warnings = [rec for rec in caplog.records if "under-determined" in rec.getMessage()]
+        assert len(warnings) == 1
+        model = state.model
+        assert np.all(np.isfinite(model.weights)) and all(np.all(np.isfinite(u)) for u in model.factors)
+        # the last mode's scaled factors are the minimum-norm solution
+        # against the block the other (new) factors give
+        (coeff,) = als.batched_contract_all_but(op.designs, model.factors, (2,))
+        flat = coeff.reshape(n, -1)
+        min_norm = np.linalg.pinv(flat) @ y
+        scaled = model.factors[2] * model.weights
+        assert np.allclose(scaled.ravel(), min_norm, rtol=0, atol=1e-10 * np.linalg.norm(min_norm))
+
+    def test_well_posed_modes_keep_the_normal_equations(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        shape = (4, 3, 3)
+        op = GaussianDesignOp.from_seed(16, shape, 30)
+        truth = orthogonal_model(rng, shape, 2, [2.0, 1.0])
+        problem = Problem(op, op.apply(truth.embed()), 2)
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+        als_step(SolverState.initial(problem, perturbed(truth, rng)), problem)
+        assert len(solves) == len(shape)
 
 
 @pytest.mark.parametrize("task", ["decompose", "regress"])

@@ -524,6 +524,22 @@ class TestAlignAndError:
         assert rep.rel_frobenius_error == pytest.approx(direct_rel, rel=1e-9)
 
 
+    def test_aligned_is_built_on_first_access(self, monkeypatch):
+        # a trace row reads only the errors: no SegrePoint per row
+        rng = np.random.default_rng(26)
+        truth = self._model(rng)
+        est = CPModel(tuple(SegrePoint(-c.weight, c.factors) for c in reversed(truth.components)))
+        built = []
+        components = CPModel.components
+        monkeypatch.setattr(CPModel, "components",
+                            property(lambda m: built.append(1) or components.fget(m)))
+        rep = align_and_error(est, truth)
+        assert built == []
+        aligned = rep.aligned
+        assert built == [1] and rep.aligned is aligned
+        assert rep.permutation == (2, 1, 0) and rep.sign_flips == (-1, -1, -1)
+        assert np.array_equal(aligned.weights, truth.weights)
+
 class TestPerturbationBounds:
     """Numerical checks of the tangent-space perturbation inequalities."""
 

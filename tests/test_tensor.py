@@ -163,6 +163,65 @@ class TestContractions:
                     assert np.allclose(out, expected, rtol=0, atol=1e-12)
 
 
+def unsplit_kernel(stack, factors, keep):
+    """``batched_contract_all_but`` as one function, before its head product
+    and head contraction became separate stages: the split must not move a
+    bit of its output."""
+    keep = tuple(keep)
+    n, p0 = stack.shape[:2]
+    shape = stack.shape[1:]
+    d = len(shape)
+    r = factors[0].shape[1]
+    rest = stack[0].size // p0
+    outs = [np.empty((n, shape[k], r)) for k in keep]
+    kr = tc.khatri_rao(list(factors[1:])) if 0 in keep else None
+    modes = "abcdefghijklmnopqrstuvwx"[:d]
+    others = {k: [l for l in range(1, d) if l != k] for k in keep if k > 0}
+    subs = {k: ",".join(["YZ" + modes[1:]] + [modes[l] + "Z" for l in ls]) + f"->Y{modes[k]}Z"
+            for k, ls in others.items()}
+    step = max(1, tc._BLOCK_BYTES // stack[0].nbytes)
+    for lo in range(0, n, step):
+        block = stack[lo : lo + step]
+        b = block.shape[0]
+        if others:
+            head = np.matmul(factors[0].T, block.reshape(b, p0, rest)).reshape((b, r) + shape[1:])
+        for out, k in zip(outs, keep):
+            if k == 0:
+                out[lo : lo + b] = (block.reshape(b * p0, rest) @ kr).reshape(b, p0, r)
+                continue
+            out[lo : lo + b] = np.einsum(subs[k], head, *(factors[l] for l in others[k]))
+    return outs
+
+
+class TestKernelStages:
+    CASES = [((5, 4, 3), (0,)), ((5, 4, 3), (1, 2)), ((5, 4, 3), (0, 1, 2)),
+             ((3, 4, 2, 3), (0, 1, 2, 3)), ((3, 4, 2, 3), (3, 1)), ((6, 5), (0, 1))]
+
+    @pytest.mark.parametrize("shape,keep", CASES)
+    def test_kernel_bit_identical_to_unsplit_form(self, monkeypatch, shape, keep):
+        rng = np.random.default_rng(12)
+        stack = rng.standard_normal((23,) + shape)
+        # blocks of 5 tensors: 23 ends in a partial block of 3
+        monkeypatch.setattr(tc, "_BLOCK_BYTES", 5 * stack[0].nbytes)
+        factors = [rng.standard_normal((p, 3)) for p in shape]
+        got = tc.batched_contract_all_but(stack, factors, keep)
+        want = unsplit_kernel(stack, factors, keep)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+    @pytest.mark.parametrize("shape", [(6, 5), (5, 4, 3), (3, 4, 2, 3)])
+    def test_whole_stack_head_matches_kernel_bitwise(self, monkeypatch, shape):
+        # ALS contracts one head of the whole stack; the kernel one per block
+        rng = np.random.default_rng(13)
+        stack = rng.standard_normal((23,) + shape)
+        monkeypatch.setattr(tc, "_BLOCK_BYTES", 5 * stack[0].nbytes)
+        factors = [rng.standard_normal((p, 2)) for p in shape]
+        head = tc.design_head(stack, factors[0])
+        assert head.shape == (23, 2) + shape[1:]
+        want = tc.batched_contract_all_but(stack, factors, range(1, len(shape)))
+        for k, expected in enumerate(want, start=1):
+            assert np.array_equal(tc.contract_head(head, factors, k), expected)
+
+
 class TestKhatriRao:
     def test_columns_match_unfolded_outer(self):
         rng = np.random.default_rng(11)
