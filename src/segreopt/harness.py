@@ -17,13 +17,15 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from importlib import resources
+from itertools import product
 
 import numpy as np
 
 from . import __version__
-from .initialization import INIT_METHODS, InitSpec, init_decomposition, init_regression
+from .initialization import (INIT_METHODS, InitSpec, init_decomposition, init_regression,
+                             unfolding_split)
 from .manifold import CPModel, DegenerateInputError, align_and_error, incoherence
 from .operators import GaussianDesignOp, IdentityOp
 from .rng import substream, substream_seed
@@ -42,7 +44,6 @@ class ExperimentConfig:
     kappa: float = 1.0
     noise_sd: float = 1.0
     n_samples: int | None = None      # regression only; None -> floor(2 * pbar^1.5 * r)
-    design_scale: float = 1.0
     methods: tuple[str, ...] = ("rgd", "rgn")
     init_method: str | None = None    # None -> random (decompose) / adjoint-cpca (regress)
     init_refine_sweeps: int = 0       # greedy deflation passes after a random init
@@ -56,20 +57,25 @@ class ExperimentConfig:
     gauss_seidel: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(int(p) for p in self.dims))
         if self.task not in ("decompose", "regress"):
             raise ValueError(f"unknown task {self.task!r}")
+        if len(self.dims) < 2 or min(self.dims) < 1:
+            raise ValueError(f"dims must list two or more modes of length >= 1, got {self.dims}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.n_samples is not None and self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.design_scale <= 0:
-            raise ValueError(f"design_scale must be positive, got {self.design_scale}")
         if self.rho is not None and not 0 <= self.rho < 1:
             raise ValueError("coherence must lie in [0, 1)")
+        if self.rho is not None and self.rank > min(self.dims):
+            raise ValueError(f"rank {self.rank} exceeds dimension {min(self.dims)} (rho is set)")
         if self.weight_law not in ("unif-scaled", "geometric-kappa"):
             raise ValueError(f"unknown weight law {self.weight_law!r}")
-        if self.kappa < 1:
-            raise ValueError("condition number must be >= 1")
+        if not 1 <= self.kappa < math.inf:
+            raise ValueError(f"kappa (condition number) must be finite and >= 1, got {self.kappa}")
+        if not 0 <= self.noise_sd < math.inf:
+            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         if self.init_refine_sweeps < 0:
             raise ValueError(f"init_refine_sweeps must be >= 0, got {self.init_refine_sweeps}")
         if self.init_method not in (None,) + INIT_METHODS:
@@ -77,12 +83,13 @@ class ExperimentConfig:
         if self.init_method == "adjoint-cpca" and self.task != "regress":
             raise ValueError("init_method 'adjoint-cpca' needs a design operator, "
                              f"which task {self.task!r} does not have")
+        if _init_method(self) != "random":
+            unfolding_split(self.dims, self.rank, self.cpca_split)
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if not self.methods or any(m not in METHODS for m in self.methods):
             raise ValueError(f"methods must be a nonempty selection from {METHODS}")
         self.solver_config(self.methods[0])  # checks the solver fields
-        object.__setattr__(self, "dims", tuple(int(p) for p in self.dims))
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.cpca_split is not None:
             object.__setattr__(self, "cpca_split", tuple(self.cpca_split))
@@ -112,10 +119,6 @@ class ExperimentConfig:
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        d = dict(d)
-        for key in ("dims", "methods", "cpca_split"):
-            if d.get(key) is not None:
-                d[key] = tuple(d[key])
         return cls(**d)
 
 
@@ -183,19 +186,21 @@ def gen_instance(config: ExperimentConfig, replicate: int = 0) -> Problem:
         op = IdentityOp(config.dims)
         return Problem(op=op, y=y.ravel(), rank=config.rank, truth=truth)
     n = config.sample_size()
-    op = GaussianDesignOp.from_seed(config.seed, config.dims, n,
-                                    scale=config.design_scale, replicate=replicate)
-    # raw observations <X_m, T> + noise, stored rescaled by 1/(sqrt(n)*scale)
-    # so they pair with the rescaled designs
+    op = GaussianDesignOp.from_seed(config.seed, config.dims, n, replicate=replicate)
+    # raw observations <X_m, T> + noise, stored rescaled by 1/sqrt(n) so they
+    # pair with the rescaled designs
     y = op.apply(signal)
-    y += config.noise_sd * noise_rng.standard_normal(n) / (math.sqrt(n) * config.design_scale)
+    y += config.noise_sd * noise_rng.standard_normal(n) / math.sqrt(n)
     return Problem(op=op, y=y, rank=config.rank, truth=truth)
 
 
+def _init_method(config: ExperimentConfig) -> str:
+    """The configured start, or the task's default one."""
+    return config.init_method or ("random" if config.task == "decompose" else "adjoint-cpca")
+
+
 def _initial_model(config: ExperimentConfig, problem: Problem, replicate: int) -> CPModel:
-    method = config.init_method
-    if method is None:
-        method = "random" if config.task == "decompose" else "adjoint-cpca"
+    method = _init_method(config)
     if method == "adjoint-cpca":
         return init_regression(problem.op, problem.y, config.rank, config.cpca_split)
     spec = InitSpec(method=method, seed=substream_seed(config.seed, "init", replicate),
@@ -362,13 +367,13 @@ def config_from_preset(name: str, **overrides) -> ExperimentConfig:
 def expand_grid(preset: dict) -> list[ExperimentConfig]:
     """A preset may carry a ``grid`` of per-field value lists; expand it into
     one config per combination (fields iterate in sorted name order)."""
-    grid = preset.get("grid")
-    base = dict(preset)
-    base.pop("grid", None)
-    cfg = ExperimentConfig.from_dict(base)
-    if not grid:
-        return [cfg]
-    configs = [cfg]
-    for key in sorted(grid):
-        configs = [replace(c, **{key: v}) for c in configs for v in grid[key]]
-    return configs
+    grid = preset.get("grid") or {}
+    if not isinstance(grid, dict):
+        raise ValueError(f"grid must map config fields to lists of values, got {grid!r}")
+    for key, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise ValueError(f"grid values of {key!r} must be a nonempty list, got {values!r}")
+    base = {k: v for k, v in preset.items() if k != "grid"}
+    keys = sorted(grid)
+    return [ExperimentConfig.from_dict({**base, **dict(zip(keys, values))})
+            for values in product(*(grid[k] for k in keys))]

@@ -78,6 +78,21 @@ def choose_split(shape: tuple[int, ...]) -> tuple[int, ...]:
     return best
 
 
+def unfolding_split(shape: tuple[int, ...], r: int,
+                    split: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """The row modes of a rank-``r`` spectral start's unfolding (``split``
+    sorted, or :func:`choose_split`), checked to leave ``r`` rows and columns."""
+    d = len(shape)
+    split = choose_split(shape) if split is None else tuple(sorted(int(l) for l in split))
+    if not split or len(set(split)) < len(split) or not set(split) < set(range(d)):
+        raise ValueError(f"cpca_split {split} must be a nonempty proper subset of modes 0..{d - 1}")
+    rows = math.prod(shape[l] for l in split)
+    bound = (rows, math.prod(shape) // rows)
+    if r > min(bound):
+        raise ValueError(f"rank {r} exceeds the {bound} unfolding bound")
+    return split
+
+
 def _multi_unfold(t: np.ndarray, split: tuple[int, ...]) -> np.ndarray:
     """Matricization with the modes in ``split`` grouped as rows (both index
     groups enumerated in the C-order convention of :mod:`segreopt.tensor`)."""
@@ -110,16 +125,9 @@ def cpca(t: np.ndarray, r: int, split: tuple[int, ...] | None = None) -> CPModel
     if fro_norm(t) == 0.0:
         raise DegenerateInputError("cannot run spectral initialization on the zero tensor")
     d = t.ndim
-    if split is None:
-        split = choose_split(t.shape)
-    else:
-        split = tuple(sorted(int(l) for l in split))
-        if not split or len(split) >= d or any(not 0 <= l < d for l in split):
-            raise ValueError(f"split {split} must be a nonempty proper mode subset")
+    split = unfolding_split(t.shape, r, split)
     rest = tuple(l for l in range(d) if l not in split)
     mat = _multi_unfold(t, split)
-    if r > min(mat.shape):
-        raise ValueError(f"rank {r} exceeds the {mat.shape} unfolding bound")
     left, _, right_t = np.linalg.svd(mat, full_matrices=False)
     dims_s = tuple(t.shape[l] for l in split)
     dims_c = tuple(t.shape[l] for l in rest)

@@ -4,12 +4,11 @@ Two kinds are supported: the identity (full observation, decomposition) and
 a Gaussian design (regression, one inner product per design tensor).
 
 Scaling convention: a design operator stores its tensors divided by
-``sqrt(n) * scale`` (:meth:`GaussianDesignOp.from_raw` and
-:meth:`GaussianDesignOp.from_seed` apply it), which makes the adjoint the
-literal transpose pairing ``sum_m y_m X̃_m`` and folds the usual
-``1/(n sigma^2)`` factor into the composition ``adjoint(apply(.))``
-automatically.  Observation vectors must be rescaled the same way by the
-caller.
+``sqrt(n) * sigma`` for raw entries of variance ``sigma^2`` (``from_raw``
+takes ``sigma`` as ``scale``; ``from_seed`` draws N(0, 1) entries), which
+makes the adjoint the literal transpose pairing ``sum_m y_m X̃_m`` and folds
+the usual ``1/(n sigma^2)`` factor into ``adjoint(apply(.))``.  Observation
+vectors must be rescaled the same way by the caller.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ class IdentityOp(MeasurementOp):
 class GaussianDesignOp(MeasurementOp):
     """Inner products against ``n`` dense Gaussian design tensors.
 
-    ``designs`` are taken as already divided by ``sqrt(n) * scale``; construct
+    ``designs`` are taken as already divided by ``sqrt(n) * sigma``; construct
     via :meth:`from_raw` or :meth:`from_seed` to get that rescaling applied.
     """
 
@@ -83,18 +82,12 @@ class GaussianDesignOp(MeasurementOp):
 
     @classmethod
     def from_seed(cls, seed: int, shape: tuple[int, ...], n: int,
-                  scale: float = 1.0, replicate: int = 0) -> "GaussianDesignOp":
-        """Regenerable operator: entries i.i.d. N(0, scale^2) from the
-        ``designs`` substream of ``seed``, then rescaled."""
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+                  replicate: int = 0) -> "GaussianDesignOp":
+        """Regenerable operator: entries i.i.d. N(0, 1) from the ``designs``
+        substream of ``seed``, divided by ``sqrt(n)`` in place."""
         n = int(n)
-        rng = substream(seed, "designs", replicate)
-        designs = rng.standard_normal((n,) + tuple(shape))
-        # rescale in place, in the order from_raw uses, so that only one stack
-        # is ever alive
-        designs *= scale
-        designs /= np.sqrt(n) * scale
+        designs = substream(seed, "designs", replicate).standard_normal((n,) + tuple(shape))
+        designs /= np.sqrt(n)
         return cls(designs)
 
     def apply(self, t: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -83,8 +82,10 @@ class Problem:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Settings of one :func:`run`; ``step_size`` is RGD's constant step, in (0, 1]."""
+
     method: str = "rgn"  # one of METHODS
-    step_size: float | Callable[[int], float] = 0.2
+    step_size: float = 0.2
     max_iters: int = 50
     stop_tol: float = 1e-12
     pinv_tol: float = 1e-10
@@ -93,20 +94,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if not callable(self.step_size) and not 0 < self.step_size <= 1:
+        if not 0 < self.step_size <= 1:
             raise ValueError(f"step_size must lie in (0, 1], got {self.step_size}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         for name in ("stop_tol", "pinv_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-
-    def alpha(self, t: int) -> float:
-        """Step size of iteration ``t``; a schedule's value is checked like a constant's."""
-        a = float(self.step_size(t)) if callable(self.step_size) else float(self.step_size)
-        if not 0 < a <= 1:
-            raise ValueError(f"step size {a} at iteration {t} does not lie in (0, 1]")
-        return a
 
 
 @dataclass(frozen=True)
@@ -328,11 +322,11 @@ def run(problem: Problem, config: SolverConfig, init: CPModel) -> tuple[CPModel,
     state = SolverState.initial(problem, init)
     trace = ConvergenceTrace()
     prev_res = _record(trace, 0, init, problem.truth, float(np.linalg.norm(state.residual)), 0.0)
-    for t in range(config.max_iters):
+    for _ in range(config.max_iters):
         tic = time.perf_counter()
         try:
             if config.method == "rgd":
-                state = rgd_step(state, problem, config.alpha(t), config.gauss_seidel)
+                state = rgd_step(state, problem, config.step_size, config.gauss_seidel)
             elif config.method == "rgn":
                 state = rgn_step(state, problem, config.pinv_tol, config.gauss_seidel)
             else:

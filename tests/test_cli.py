@@ -75,7 +75,10 @@ def test_missing_preset_and_config_errors(tmp_path):
     ({}, ["bench", "--preset", "smoke-decompose", "--replicates", "0"]),
     ({}, ["decompose", "--config", "{missing}"]),
     ({}, ["decompose", "--config", "{bad_json}"]),
-], ids=["env-rho", "env-seed", "bench-replicates", "missing-config", "bad-json-config"])
+    ({"SEGREOPT_NOISE_SD": "nan"}, ["regress", "--preset", "smoke-regress"]),
+    ({"SEGREOPT_KAPPA": "inf"}, ["decompose", "--preset", "smoke-decompose"]),
+], ids=["env-rho", "env-seed", "bench-replicates", "missing-config", "bad-json-config",
+        "env-noise-nan", "env-kappa-inf"])
 def test_bad_configuration_ends_in_error_line(tmp_path, monkeypatch, capsys, env, argv):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
@@ -87,6 +90,21 @@ def test_bad_configuration_ends_in_error_line(tmp_path, monkeypatch, capsys, env
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"bogus": [1, 2]}, "unknown config key(s): bogus"),
+    ({"noise_sd": 0.5}, "grid values of 'noise_sd' must be a nonempty list"),
+    (["noise_sd"], "grid must map config fields to lists of values"),
+], ids=["unknown-key", "not-a-list", "not-a-mapping"])
+def test_bench_bad_grid_ends_in_error_line(tmp_path, capsys, grid, message):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"task": "decompose", "dims": [5, 5, 5], "rank": 2, "grid": grid}))
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
     assert not out.exists()
 
 

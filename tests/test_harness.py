@@ -310,9 +310,12 @@ class TestCoherentOrdering:
 
 class TestPresets:
     def test_all_presets_parse(self):
+        # every bench cell is built, so each passes the construction checks
         for name in preset_names():
             preset = load_preset(name)
-            for cfg in expand_grid(preset):
+            cells = expand_grid(preset)
+            assert len(cells) == math.prod(len(v) for v in (preset.get("grid") or {}).values())
+            for cfg in cells:
                 assert cfg.replicates >= 1
 
     def test_expected_presets_exist(self):
@@ -334,18 +337,34 @@ class TestPresets:
         assert len(combos) == 9
 
     @pytest.mark.parametrize("field, value", [("n_samples", 0), ("n_samples", -3), ("rank", 0),
-                                              ("design_scale", 0.0), ("design_scale", -1.0),
+                                              ("noise_sd", math.nan), ("noise_sd", -1.0),
                                               ("step_size", 5.0), ("stop_tol", 0.0),
                                               ("pinv_tol", -1.0), ("init_method", "bogus"),
-                                              ("task", "decompose"), ("methods", ())])
+                                              ("task", "decompose"), ("methods", ()),
+                                              ("dims", (5,)), ("dims", (0, 3, 3)),
+                                              ("rank", 5), ("cpca_split", (0, 3)),
+                                              ("cpca_split", (1, 1)), ("cpca_split", (0, 1, 2)),
+                                              ("kappa", math.inf), ("kappa", math.nan)])
     def test_out_of_range_config_rejected(self, field, value):
         # checked at construction, before any instance is built; the base
         # config's adjoint-cpca init is out of range for a decompose task,
-        # and its step size is checked although only ALS runs
+        # and its step size is checked although only ALS runs; rank 5 does
+        # not fit the (16, 4) unfolding of the spectral start
         base = {"task": "regress", "dims": (4, 4, 4), "init_method": "adjoint-cpca",
                 "methods": ("als",)}
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{**base, field: value})
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"rank": 6, "rho": 0.0}, "rank 6 exceeds dimension 4"),
+        ({"rank": 5, "init_method": "cpca"}, r"rank 5 exceeds the \(16, 4\) unfolding bound"),
+    ], ids=["coherent", "cpca"])
+    def test_rank_beyond_the_model_rejected(self, overrides, message):
+        # a decomposition with a random start has no unfolding bound, but
+        # coherent factors and a spectral start each bound the rank
+        ExperimentConfig(task="decompose", dims=(4, 4, 4), rank=6)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(task="decompose", dims=(4, 4, 4), **overrides)
 
     def test_to_dict_round_trips(self):
         for name in preset_names():
@@ -355,6 +374,11 @@ class TestPresets:
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
             ExperimentConfig.from_dict({"task": "decompose", "bogus": 1})
+
+    def test_retired_design_scale_rejected(self):
+        # a design variance sigma^2 is expressed as noise_sd / sigma
+        with pytest.raises(ValueError, match="unknown config key\\(s\\): design_scale"):
+            ExperimentConfig.from_dict({"task": "regress", "design_scale": 1.0})
 
     def test_config_override(self):
         cfg = config_from_preset("smoke-decompose", seed=99, replicates=1)

@@ -58,6 +58,16 @@ class TestCPCA:
                 model = cpca(t, 1, split)
                 assert tc.fro_norm(model.embed() - t) <= 1e-12 * tc.fro_norm(t)
 
+    @pytest.mark.parametrize("r, split, message", [
+        (1, (), "cpca_split"), (1, (0, 1, 2), "cpca_split"), (1, (1, 1), "cpca_split"),
+        (1, (3,), "cpca_split"), (5, None, r"rank 5 exceeds the \(16, 4\) unfolding bound"),
+        (5, (2,), r"rank 5 exceeds the \(4, 16\) unfolding bound"),
+    ])
+    def test_bad_split_or_rank_rejected(self, r, split, message):
+        t = np.random.default_rng(2).standard_normal((4, 4, 4))
+        with pytest.raises(ValueError, match=message):
+            cpca(t, r, split)
+
     def test_orthogonal_rank3_recovery(self):
         rng = np.random.default_rng(1)
         truth = orthogonal_model(rng, (6, 5, 4), 3, [5.0, 3.0, 2.0])

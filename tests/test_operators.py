@@ -102,21 +102,19 @@ class TestGaussianDesignOp:
 
     def test_seed_round_trip(self):
         # an operator is regenerated bit for bit from its (seed, replicate)
-        op = GaussianDesignOp.from_seed(123, (3, 4, 2), 17, scale=1.5, replicate=2)
-        again = GaussianDesignOp.from_seed(123, (3, 4, 2), 17, scale=1.5, replicate=2)
-        other = GaussianDesignOp.from_seed(123, (3, 4, 2), 17, scale=1.5, replicate=3)
+        op = GaussianDesignOp.from_seed(123, (3, 4, 2), 17, replicate=2)
+        again = GaussianDesignOp.from_seed(123, (3, 4, 2), 17, replicate=2)
+        other = GaussianDesignOp.from_seed(123, (3, 4, 2), 17, replicate=3)
         assert np.array_equal(again.designs, op.designs)
         assert not np.allclose(other.designs, op.designs)
 
     def test_seed_matches_raw_rescaling(self):
-        for scale in (1.0, 0.5, 2.3):
-            op = GaussianDesignOp.from_seed(4, (3, 4, 2), 17, scale=scale, replicate=1)
-            raw = scale * substream(4, "designs", 1).standard_normal((17, 3, 4, 2))
-            assert np.array_equal(op.designs, GaussianDesignOp.from_raw(raw, scale=scale).designs)
+        # from_seed is from_raw of the same unit-variance draw, bit for bit
+        op = GaussianDesignOp.from_seed(4, (3, 4, 2), 17, replicate=1)
+        raw = substream(4, "designs", 1).standard_normal((17, 3, 4, 2))
+        assert np.array_equal(op.designs, GaussianDesignOp.from_raw(raw, scale=1.0).designs)
 
     def test_non_positive_scale_rejected(self):
-        with pytest.raises(ValueError, match="scale"):
-            GaussianDesignOp.from_seed(1, (2, 2), 3, scale=0.0)
         with pytest.raises(ValueError, match="scale"):
             GaussianDesignOp.from_raw(np.ones((3, 2, 2)), scale=-1.0)
 

@@ -126,17 +126,6 @@ class TestRgdStep:
         with pytest.raises(ValueError):
             rgd_step(state, prob, alpha=1.5)
 
-    def test_step_size_schedule_validated(self):
-        rng = np.random.default_rng(3)
-        truth = orthogonal_model(rng, (4, 4, 4), 1, [2.0])
-        prob = identity_problem(truth)
-        cfg = SolverConfig(method="rgd", step_size=lambda t: 5.0, max_iters=3)
-        with pytest.raises(ValueError, match="step size"):
-            cfg.alpha(0)
-        with pytest.raises(ValueError, match="step size"):
-            run(prob, cfg, perturbed(truth, 0.1, rng))
-        assert SolverConfig(step_size=lambda t: 1.0).alpha(0) == 1.0
-
     @pytest.mark.parametrize("preset,gauss_seidel", [
         ("smoke-decompose", False), ("smoke-regress", False), ("smoke-regress", True),
     ])
@@ -555,20 +544,6 @@ class TestRun:
         for method in ("rgd", "rgn", "als"):
             with pytest.raises(ValueError, match="init rank"):
                 run(prob, SolverConfig(method=method), bad_init)
-
-    def test_step_size_schedule_callback(self):
-        rng = np.random.default_rng(18)
-        truth = orthogonal_model(rng, (5, 5, 5), 1, [2.0])
-        prob = identity_problem(truth)
-        init = perturbed(truth, 0.1, rng)
-        seen = []
-
-        def schedule(t):
-            seen.append(t)
-            return 0.5 if t < 2 else 0.2
-
-        run(prob, SolverConfig(method="rgd", step_size=schedule, max_iters=4), init)
-        assert seen == [0, 1, 2, 3]
 
 
 class TestNoiselessMonotonePhase:
