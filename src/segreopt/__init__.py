@@ -7,7 +7,6 @@ from .manifold import (  # noqa: E402
     CPModel,
     DegenerateInputError,
     ErrorReport,
-    SegrePoint,
     TangentBasis,
     align_and_error,
     incoherence,
@@ -47,7 +46,6 @@ __all__ = [
     "InitSpec",
     "MeasurementOp",
     "Problem",
-    "SegrePoint",
     "SolverConfig",
     "SolverError",
     "SolverState",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields
 from importlib import resources
@@ -30,6 +31,49 @@ from .manifold import CPModel, DegenerateInputError, align_and_error, incoherenc
 from .operators import GaussianDesignOp, IdentityOp
 from .rng import substream, substream_seed
 from .solvers import METHODS, ConvergenceTrace, Problem, SolverConfig, SolverError, run
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_string(v) -> bool:
+    return isinstance(v, str)
+
+
+def _is_bool(v) -> bool:
+    return isinstance(v, bool)
+
+
+# The type of value each ExperimentConfig field takes, as a test and its name.
+# A list field takes a list of such values, and a field whose default is None
+# may also be None.
+_FIELD_TYPES = {
+    "task": (_is_string, "a string"),
+    "dims": (_is_integer, "integers"),
+    "rank": (_is_integer, "an integer"),
+    "rho": (_is_real, "a real number"),
+    "weight_law": (_is_string, "a string"),
+    "kappa": (_is_real, "a real number"),
+    "noise_sd": (_is_real, "a real number"),
+    "n_samples": (_is_integer, "an integer"),
+    "methods": (_is_string, "strings"),
+    "init_method": (_is_string, "a string"),
+    "init_refine_sweeps": (_is_integer, "an integer"),
+    "cpca_split": (_is_integer, "integers"),
+    "replicates": (_is_integer, "an integer"),
+    "seed": (_is_integer, "an integer"),
+    "max_iters": (_is_integer, "an integer"),
+    "step_size": (_is_real, "a real number"),
+    "stop_tol": (_is_real, "a real number"),
+    "pinv_tol": (_is_real, "a real number"),
+    "gauss_seidel": (_is_bool, "a bool"),
+}
+_LIST_FIELDS = ("dims", "methods", "cpca_split")
 
 
 @dataclass(frozen=True)
@@ -57,6 +101,18 @@ class ExperimentConfig:
     gauss_seidel: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            test, kind = _FIELD_TYPES[f.name]
+            v = getattr(self, f.name)
+            if v is None and f.default is None:
+                continue
+            if f.name in _LIST_FIELDS:
+                ok, kind = isinstance(v, (list, tuple)) and all(map(test, v)), "a list of " + kind
+            else:
+                ok = test(v)
+            if not ok:
+                null = " or null" if f.default is None else ""
+                raise ValueError(f"{f.name} must be {kind}{null}, got {v!r}")
         object.__setattr__(self, "dims", tuple(int(p) for p in self.dims))
         if self.task not in ("decompose", "regress"):
             raise ValueError(f"unknown task {self.task!r}")
@@ -74,6 +130,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown weight law {self.weight_law!r}")
         if not 1 <= self.kappa < math.inf:
             raise ValueError(f"kappa (condition number) must be finite and >= 1, got {self.kappa}")
+        if self.weight_law == "geometric-kappa":
+            # (r w_max)^2 bounds the truth's squared norm, which scoring needs finite
+            try:
+                top = self.rank * _geometric_weight(self, self.rank)
+            except OverflowError:
+                top = math.inf
+            if not math.isfinite(top * top):
+                raise ValueError(f"kappa {self.kappa} is too large: the squared norm of the "
+                                 f"truth overflows at rank {self.rank}")
         if not 0 <= self.noise_sd < math.inf:
             raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         if self.init_refine_sweeps < 0:
@@ -154,10 +219,14 @@ def _truth_weights(config: ExperimentConfig, rng: np.random.Generator) -> np.nda
         else:
             lo, hi = 0.5, 1.5
         return scale * rng.uniform(lo, hi, size=r)
+    return np.array([_geometric_weight(config, i) for i in range(1, r + 1)])
+
+
+def _geometric_weight(config: ExperimentConfig, i: int) -> float:
+    """Truth weight ``i`` (from 1) under the ``geometric-kappa`` law; ``i = r`` is the largest."""
     if config.task == "decompose":
-        return np.array([2.0 * config.kappa ** ((i - 1) / 2.0) * pbar**0.75 * math.sqrt(r)
-                         for i in range(1, r + 1)])
-    return np.array([2.0 * config.kappa ** ((i - 2) / 2.0) for i in range(1, r + 1)])
+        return 2.0 * config.kappa ** ((i - 1) / 2.0) * config.pbar**0.75 * math.sqrt(config.rank)
+    return 2.0 * config.kappa ** ((i - 2) / 2.0)
 
 
 def gen_truth(config: ExperimentConfig, replicate: int = 0) -> CPModel:

@@ -1,6 +1,9 @@
 """Initialization strategies: random unit-sphere starts (optionally refined
 by greedy deflation), composite-PCA spectral starts, and the regression warm
 start built on the operator adjoint.
+
+Each start fills a weight vector and one factor matrix per mode and makes
+one :meth:`~segreopt.manifold.CPModel.from_factors` call.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import numpy as np
 from .manifold import (
     CPModel,
     DegenerateInputError,
-    SegrePoint,
     _sign_fix,
     leading_singular_vector,
     retract_thosvd,
@@ -23,7 +25,7 @@ from .manifold import (
 from .operators import GaussianDesignOp
 from .rng import substream
 from .solvers import _check_observations
-from .tensor import check_tensor, contract_all_modes, fro_norm, unfold
+from .tensor import check_tensor, contract_all_modes, fro_norm, outer_rank_one, unfold
 
 logger = logging.getLogger(__name__)
 
@@ -135,30 +137,26 @@ def cpca(t: np.ndarray, r: int, split: tuple[int, ...] | None = None) -> CPModel
     for j in range(r):
         by_mode = dict(zip(split, _extract_mode_vectors(left[:, j], dims_s)))
         by_mode.update(zip(rest, _extract_mode_vectors(right_t[j, :], dims_c)))
-        us = tuple(by_mode[l] for l in range(d))
-        lam = contract_all_modes(t, us)
-        if lam == 0.0:
-            raise DegenerateInputError(f"spectral component {j} has zero projection weight")
-        comps.append(SegrePoint(lam, us))
-    comps.sort(key=lambda c: -abs(c.weight))
-    return CPModel(tuple(comps))
+        comps.append([by_mode[l] for l in range(d)])
+    weights = np.array([contract_all_modes(t, us) for us in comps])
+    if (weights == 0.0).any():
+        j = int(np.argmax(weights == 0.0))
+        raise DegenerateInputError(f"spectral component {j} has zero projection weight")
+    order = np.argsort(-np.abs(weights), kind="stable")
+    return CPModel.from_factors(weights[order], [np.column_stack(us)[:, order] for us in zip(*comps)])
 
 
 def random_model(y: np.ndarray, r: int, rng: np.random.Generator) -> CPModel:
     """Factors i.i.d. uniform on each unit sphere; weights set by projecting
     ``y`` onto each random rank-one direction."""
     y = check_tensor(y)
-    comps = []
-    for _ in range(r):
-        us = []
-        for p in y.shape:
-            u = rng.standard_normal(p)
-            us.append(u / np.linalg.norm(u))
-        lam = contract_all_modes(y, us)
-        if lam == 0.0:
-            raise DegenerateInputError("random direction has zero projection weight")
-        comps.append(SegrePoint(lam, tuple(us)))
-    return CPModel(tuple(comps))
+    # drawn component by component, each mode in turn
+    comps = [[u / np.linalg.norm(u) for u in (rng.standard_normal(p) for p in y.shape)]
+             for _ in range(r)]
+    weights = np.array([contract_all_modes(y, us) for us in comps])
+    if (weights == 0.0).any():
+        raise DegenerateInputError("random direction has zero projection weight")
+    return CPModel.from_factors(weights, [np.column_stack(us) for us in zip(*comps)])
 
 
 def refine_by_deflation(y: np.ndarray, model: CPModel, sweeps: int = 1) -> CPModel:
@@ -173,23 +171,26 @@ def refine_by_deflation(y: np.ndarray, model: CPModel, sweeps: int = 1) -> CPMod
     whose deflated residual degenerates is left unchanged; a residual whose
     norm overflows raises :class:`DegenerateInputError`.
     """
-    comps = list(model.components)
-    embeds = [c.embed() for c in comps]
+    weights, factors = model.weights.copy(), [u.copy() for u in model.factors]
+    embeds = [outer_rank_one(w, [u[:, i] for u in factors]) for i, w in enumerate(weights)]
     total = np.sum(embeds, axis=0)
     for _ in range(sweeps):
-        for i in range(len(comps)):
+        for i in range(model.rank):
             rhs = y - (total - embeds[i])
             try:
-                comps[i] = retract_thosvd(rhs)
+                new = retract_thosvd(rhs)
             except DegenerateInputError:
                 if not math.isfinite(fro_norm(rhs)):
                     raise  # overflow, not a degenerate residual
                 logger.warning("deflation pass left component %d unchanged (degenerate residual)", i)
                 continue
-            new_embed = comps[i].embed()
+            weights[i] = new.weights[0]
+            for u, v in zip(factors, new.factors):
+                u[:, i] = v[:, 0]
+            new_embed = new.embed()
             total += new_embed - embeds[i]
             embeds[i] = new_embed
-    return CPModel(tuple(comps))
+    return CPModel.from_factors(weights, factors)
 
 
 def init_decomposition(y: np.ndarray, r: int, spec: InitSpec) -> CPModel:

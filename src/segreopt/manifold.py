@@ -1,4 +1,7 @@
-"""Geometry of the manifold of nonzero rank-one tensors.
+"""Geometry of the manifold of nonzero rank-one tensors (the Segre manifold).
+
+A point of it is a rank-1 :class:`CPModel`, which the single-point functions
+take or return; the solvers' factored forms work on every column at once.
 
 Factor signs are arbitrary, except that the retractions and ``cpca`` make
 each factor's largest-magnitude entry positive and absorb the sign parity
@@ -39,90 +42,40 @@ class DegenerateInputError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class SegrePoint:
-    """One rank-one component: weight ``lam`` times unit factors ``u_l``.
-
-    The constructor checks each factor is unit norm (within 1e-6) and then
-    renormalizes to machine precision, so stored factors always satisfy
-    ``| ||u_l|| - 1 | <= 1e-12``.
-    """
-
-    weight: float
-    factors: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if self.weight == 0 or not np.isfinite(self.weight):
-            raise ValueError(f"weight must be nonzero and finite, got {self.weight}")
-        if len(self.factors) < 2:
-            raise ValueError("need at least two factor vectors")
-        fixed = []
-        for l, f in enumerate(self.factors):
-            f = np.asarray(f, dtype=np.float64)
-            if f.ndim != 1 or f.size == 0:
-                raise ValueError(f"factor {l} must be a nonempty vector")
-            nrm = math.sqrt(f.dot(f))
-            if not abs(nrm - 1.0) <= _UNIT_TOL:  # NaN fails too
-                raise ValueError(f"factor {l} is not unit norm (||u|| = {nrm})")
-            fixed.append(f / nrm)
-        object.__setattr__(self, "factors", tuple(fixed))
-        object.__setattr__(self, "weight", float(self.weight))
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(f.size for f in self.factors)
-
-    @property
-    def order(self) -> int:
-        return len(self.factors)
-
-    def embed(self) -> np.ndarray:
-        """The rank-one tensor ``weight * u_0 ⊗ ... ⊗ u_{d-1}``."""
-        return outer_rank_one(self.weight, self.factors)
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class CPModel:
     """``r`` rank-one components of one shape in Kruskal form: ``weights`` ``(r,)``
     and ``factors``, one read-only ``p_k x r`` matrix of unit columns per mode.
-    ``CPModel(points)`` stacks :class:`SegrePoint` s; :meth:`from_factors` takes arrays."""
+    A single rank-one tensor, one point of the Segre manifold, is a rank-1
+    model.  :meth:`from_factors` is the checked constructor."""
 
     weights: np.ndarray
     factors: tuple[np.ndarray, ...]
 
-    def __init__(self, components):
-        comps = tuple(components)
-        if not comps:
-            raise ValueError("model needs at least one component")
-        shape = comps[0].shape
-        if any(c.shape != shape for c in comps):
-            raise ValueError("all components must share one shape")
-        self._store(np.array([c.weight for c in comps]),
-                    [np.column_stack([c.factors[k] for c in comps]) for k in range(len(shape))])
-
-    def _store(self, weights: np.ndarray, factors: list[np.ndarray]) -> "CPModel":
-        for a in (weights, *factors):
-            a.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "factors", tuple(factors))
-        return self
-
     @classmethod
     def _of(cls, weights: np.ndarray, factors: list[np.ndarray]) -> "CPModel":
         """A model over arrays known to pass :meth:`from_factors`, frozen in place."""
-        return cls.__new__(cls)._store(weights, factors)
+        for a in (weights, *factors):
+            a.setflags(write=False)
+        model = cls.__new__(cls)
+        object.__setattr__(model, "weights", weights)
+        object.__setattr__(model, "factors", tuple(factors))
+        return model
 
     @classmethod
     def from_factors(cls, weights, factor_matrices) -> "CPModel":
         """Build from a weight vector and per-mode ``p_k x r`` factor matrices,
-        copied and checked like :class:`SegrePoint`, with renormalized columns."""
+        copied and checked: every weight nonzero and finite, every column unit
+        norm within 1e-6 and then renormalized to machine precision.  A bad
+        weight or column raises :class:`DegenerateInputError` naming its column."""
         w = np.array(weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ValueError(f"weights must be a nonempty vector, got shape {w.shape}")
         bad = (w == 0) | ~np.isfinite(w)
         if bad.any():
             i = int(np.argmax(bad))
-            raise ValueError(f"weight of column {i} must be nonzero and finite, got {w[i]}")
+            raise DegenerateInputError(f"weight of column {i} must be nonzero and finite, "
+                                       f"got {w[i]}", column=i)
         if len(factor_matrices) < 2:
             raise ValueError("need at least two modes")
         mats = [np.asarray(u, dtype=np.float64) for u in factor_matrices]
@@ -136,7 +89,8 @@ class CPModel:
         off = ~(np.abs(norms - 1.0) <= _UNIT_TOL)
         if off.any():
             k, i = np.argwhere(off)[0]
-            raise ValueError(f"mode {k} column {i} is not unit norm (||u|| = {norms[k, i]})")
+            raise DegenerateInputError(f"mode {k} column {i} is not unit norm "
+                                       f"(||u|| = {norms[k, i]})", column=int(i))
         return cls._of(w, [u / n for u, n in zip(mats, norms)])
 
     @property
@@ -146,12 +100,6 @@ class CPModel:
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(u.shape[0] for u in self.factors)
-
-    @property
-    def components(self) -> tuple[SegrePoint, ...]:
-        """The components as :class:`SegrePoint` s, built on each access."""
-        return tuple(SegrePoint(w, tuple(u[:, i] for u in self.factors))
-                     for i, w in enumerate(self.weights.tolist()))
 
     def embed(self) -> np.ndarray:
         """The dense sum of the components, as one product
@@ -187,8 +135,17 @@ def embed_tangent(core: float, factors: tuple[np.ndarray, ...],
     return out
 
 
-def project_tangent(point: SegrePoint, x: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of ``x`` onto the tangent space at ``point``.
+def _point_factors(point: CPModel) -> tuple[np.ndarray, ...]:
+    """The unit factor vectors of the rank-1 model ``point``; any other rank
+    is a ``ValueError``."""
+    if point.rank != 1:
+        raise ValueError(f"need a rank-1 model (one rank-one tensor), got rank {point.rank}")
+    return tuple(u[:, 0] for u in point.factors)
+
+
+def project_tangent(point: CPModel, x: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of ``x`` onto the tangent space at the rank-1
+    model ``point``.
 
     The tangent space of the rank-one manifold at ``u_0 ⊗ ... ⊗ u_{d-1}`` is
     spanned by the core direction (all factors) plus, per mode ``k``, the
@@ -196,11 +153,12 @@ def project_tangent(point: SegrePoint, x: np.ndarray) -> np.ndarray:
     projector applies ``P_l = u_l u_l^T`` in every mode for the core term and
     ``I - P_k`` in mode ``k`` (``P_l`` elsewhere) for the mode terms.
     """
+    us = _point_factors(point)
     x = np.asarray(x)
     if x.shape != point.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs point shape {point.shape}")
-    cores, hs = tangent_parts(x, [u[:, None] for u in point.factors])
-    return embed_tangent(float(cores[0]), point.factors, [h[:, 0] for h in hs])
+    cores, hs = tangent_parts(x, point.factors)
+    return embed_tangent(float(cores[0]), us, [h[:, 0] for h in hs])
 
 
 def _complement_basis(u: np.ndarray) -> np.ndarray:
@@ -212,7 +170,7 @@ def _complement_basis(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TangentBasis:
-    """Orthonormal ambient basis of the tangent space at ``point``.
+    """Orthonormal ambient basis of the tangent space at the rank-1 model ``point``.
 
     ``vectors`` has shape ``(df,) + point.shape`` with ``df = 1 + sum(p_l - 1)``.
     Coordinate layout: index 0 is the core direction, followed by one block of
@@ -220,8 +178,11 @@ class TangentBasis:
     the column order of the deterministic complement basis of ``u_k``.
     """
 
-    point: SegrePoint
+    point: CPModel
     vectors: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        _point_factors(self.point)
 
     @property
     def dim(self) -> int:
@@ -232,9 +193,9 @@ def tangent_dim(shape: tuple[int, ...]) -> int:
     return 1 + sum(p - 1 for p in shape)
 
 
-def tangent_basis(point: SegrePoint) -> TangentBasis:
-    """Materialize the orthonormal tangent basis at ``point``."""
-    us = point.factors
+def tangent_basis(point: CPModel) -> TangentBasis:
+    """Materialize the orthonormal tangent basis at the rank-1 model ``point``."""
+    us = _point_factors(point)
     shape = point.shape
     df = tangent_dim(shape)
     vectors = np.empty((df,) + shape)
@@ -282,20 +243,20 @@ def leading_singular_vector(m: np.ndarray) -> np.ndarray:
     return _sign_fix(evecs[:, -1])
 
 
-def retract_thosvd(x: np.ndarray) -> SegrePoint:
-    """Rank-one retraction: per-mode leading singular vectors of the unfoldings,
-    weight set by projecting ``x`` onto the resulting direction.
+def retract_thosvd(x: np.ndarray) -> CPModel:
+    """Rank-one retraction, as a rank-1 model: per-mode leading singular vectors
+    of the unfoldings, weight set by projecting ``x`` onto the resulting direction.
 
     For matrices (``d = 2``) this is the best rank-one approximation.
     """
     x = check_tensor(x)
     if fro_norm(x) == 0.0:
         raise DegenerateInputError("cannot retract the zero tensor")
-    us = tuple(leading_singular_vector(unfold(x, k)) for k in range(x.ndim))
+    us = [leading_singular_vector(unfold(x, k)) for k in range(x.ndim)]
     lam = contract_all_modes(x, us)
     if lam == 0.0:
         raise DegenerateInputError("retraction produced a zero weight")
-    return SegrePoint(lam, us)
+    return CPModel.from_factors([lam], [u[:, None] for u in us])
 
 
 def retract_factored(weights: np.ndarray, factors: list[np.ndarray],
@@ -315,8 +276,9 @@ def retract_factored(weights: np.ndarray, factors: list[np.ndarray],
     is ``prod_k sigma_k (w prod_k cos t_k + sum_k ||h_k|| sin t_k prod_{j !=
     k} cos t_j)``.  A mode with ``h_k = 0`` keeps ``u_k``.  Every step is an
     array operation over all columns.  Raises :class:`DegenerateInputError`,
-    naming the first bad column, for a zero input, a zero weight or a
-    non-finite weight.
+    naming the first bad column, for a zero input, a zero weight, a
+    non-finite weight, or an ``h_k`` so far from orthogonal to ``u_k`` that
+    the new factor is off the unit sphere by more than 1e-6.
     """
     w = np.asarray(weights, dtype=np.float64)
     sq = np.array([np.einsum("ai,ai->i", h, h) for h in directions])  # (d, r)
@@ -384,11 +346,13 @@ class ErrorReport:
 
     @cached_property
     def aligned(self) -> CPModel:
-        """The matched estimate components in truth order, sign-flipped.
-        Built on first access: a trace row reads only the two errors."""
-        comps = self.estimate.components
-        return CPModel(tuple(e if s == 1 else SegrePoint(-e.weight, e.factors)
-                             for e, s in zip((comps[i] for i in self.permutation), self.sign_flips)))
+        """The matched estimate components in truth order, sign-flipped: the
+        estimate's columns indexed by ``permutation``, its weights times
+        ``sign_flips``.  Built on first access: a trace row reads only the two
+        errors."""
+        perm = list(self.permutation)
+        return CPModel._of(self.estimate.weights[perm] * self.sign_flips,
+                           [u[:, perm] for u in self.estimate.factors])
 
 
 def align_and_error(estimate: CPModel, truth: CPModel) -> ErrorReport:

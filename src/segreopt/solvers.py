@@ -24,7 +24,7 @@ import numpy as np
 from .manifold import (
     CPModel,
     DegenerateInputError,
-    SegrePoint,
+    _point_factors,
     align_and_error,
     embed_tangent,
     project_tangent,
@@ -193,9 +193,9 @@ def _fit_tangent(vs: list[np.ndarray], i: int, factors: tuple[np.ndarray, ...],
     return float(x[0]), [x[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])]
 
 
-def solve_tangent_ls(point: SegrePoint, op: MeasurementOp, rhs: np.ndarray,
+def solve_tangent_ls(point: CPModel, op: MeasurementOp, rhs: np.ndarray,
                      pinv_tol: float = 1e-10) -> np.ndarray:
-    """Least-squares fit of ``rhs`` over the tangent space at ``point``.
+    """Least-squares fit of ``rhs`` over the tangent space at the rank-1 model ``point``.
 
     Returns the ambient tangent tensor minimizing ``||rhs - op(xi)||``, from
     the normal equations solved by pseudo-inverse with eigenvalues below
@@ -208,9 +208,10 @@ def solve_tangent_ls(point: SegrePoint, op: MeasurementOp, rhs: np.ndarray,
     if isinstance(op, IdentityOp):
         # P A*A P = P: the tangent projection solves the subproblem exactly.
         return project_tangent(point, rhs.reshape(op.shape))
-    vs = batched_contract_all_but(op.designs, [u[:, None] for u in point.factors], range(point.order))
-    core, hs = _fit_tangent(vs, 0, point.factors, rhs, pinv_tol)
-    return embed_tangent(core, point.factors, hs)
+    us = _point_factors(point)
+    vs = batched_contract_all_but(op.designs, point.factors, range(len(us)))
+    core, hs = _fit_tangent(vs, 0, us, rhs, pinv_tol)
+    return embed_tangent(core, us, hs)
 
 
 def _applied(vs: list[np.ndarray], factors0: np.ndarray, weights: np.ndarray) -> np.ndarray:

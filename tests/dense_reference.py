@@ -11,8 +11,25 @@ from functools import reduce
 
 import numpy as np
 
-from segreopt.manifold import CPModel, SegrePoint, embed_tangent, retract_thosvd
+from segreopt.manifold import CPModel, embed_tangent, retract_thosvd
 from segreopt.tensor import fro_norm
+
+
+def point(weight, vectors) -> CPModel:
+    """The rank-one tensor ``weight * v_0 ⊗ ... ⊗ v_{d-1}`` of unit vectors, as a rank-1 model."""
+    return CPModel.from_factors([weight], [np.asarray(v)[:, None] for v in vectors])
+
+
+def columns(model: CPModel) -> list[CPModel]:
+    """The components of ``model``, each as a rank-1 model."""
+    return [point(w, [u[:, i] for u in model.factors]) for i, w in enumerate(model.weights)]
+
+
+def stack(points) -> CPModel:
+    """The model whose components are the rank-1 models ``points``, in order."""
+    points = list(points)
+    return CPModel.from_factors(np.concatenate([p.weights for p in points]),
+                                [np.hstack(mats) for mats in zip(*(p.factors for p in points))])
 
 
 def refold(m: np.ndarray, mode: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -40,7 +57,7 @@ def contract_all_but(t: np.ndarray, vectors: list[np.ndarray] | tuple[np.ndarray
     return out
 
 
-def retract_columns(weights, factors, directions) -> list[SegrePoint]:
+def retract_columns(weights, factors, directions) -> list[CPModel]:
     """Per column ``i``: ``retract_thosvd`` of the dense tangent tensor
     ``w_i u_0 ⊗ ... ⊗ u_{d-1} + sum_k (u_0, ..., h_k, ..., u_{d-1})``."""
     return [retract_thosvd(embed_tangent(float(w), tuple(u[:, i] for u in factors),
@@ -48,11 +65,11 @@ def retract_columns(weights, factors, directions) -> list[SegrePoint]:
             for i, w in enumerate(weights)]
 
 
-def _factor_inner(a: SegrePoint, b: SegrePoint) -> float:
-    """``<embed(a), embed(b)>`` via the factorization identity."""
-    out = a.weight * b.weight
+def _factor_inner(a: CPModel, b: CPModel) -> float:
+    """``<embed(a), embed(b)>`` of two rank-1 models via the factorization identity."""
+    out = float(a.weights[0] * b.weights[0])
     for ua, ub in zip(a.factors, b.factors):
-        out *= float(np.dot(ua, ub))
+        out *= float(ua[:, 0] @ ub[:, 0])
     return out
 
 
@@ -83,10 +100,11 @@ def align_and_error(estimate: CPModel, truth: CPModel) -> DenseErrorReport:
     if estimate.shape != truth.shape:
         raise ValueError(f"shape mismatch: {estimate.shape} vs {truth.shape}")
     r = estimate.rank
+    ests, truths = columns(estimate), columns(truth)
     corr = np.empty((r, r))
-    for i, e in enumerate(estimate.components):
-        for j, t in enumerate(truth.components):
-            corr[i, j] = abs(_factor_inner(e, t)) / (abs(e.weight) * abs(t.weight))
+    for i, e in enumerate(ests):
+        for j, t in enumerate(truths):
+            corr[i, j] = abs(_factor_inner(e, t)) / abs(e.weights[0] * t.weights[0])
     perm = [-1] * r
     scratch = corr.copy()
     for _ in range(r):
@@ -95,22 +113,18 @@ def align_and_error(estimate: CPModel, truth: CPModel) -> DenseErrorReport:
         scratch[i, :] = -1.0
         scratch[:, j] = -1.0
 
-    aligned = []
-    flips = []
-    for j, t in enumerate(truth.components):
-        e = estimate.components[perm[j]]
-        s = -1 if _factor_inner(e, t) < 0 else 1
-        flips.append(s)
-        aligned.append(e if s == 1 else SegrePoint(-e.weight, e.factors))
-    aligned_model = CPModel(tuple(aligned))
+    flips = [-1 if _factor_inner(ests[perm[j]], t) < 0 else 1 for j, t in enumerate(truths)]
+    # the estimate's columns in truth order, weights sign-flipped
+    aligned_model = CPModel._of(estimate.weights[perm] * flips,
+                                [u[:, perm] for u in estimate.factors])
 
     max_err = 0.0
     total_diff = np.zeros(truth.shape)
     total_truth = np.zeros(truth.shape)
-    for e, t in zip(aligned_model.components, truth.components):
+    for e, t in zip(columns(aligned_model), truths):
         et = t.embed()
         diff = e.embed() - et
-        max_err = max(max_err, fro_norm(diff) / abs(t.weight))
+        max_err = max(max_err, fro_norm(diff) / abs(t.weights[0]))
         total_diff += diff
         total_truth += et
     rel = fro_norm(total_diff) / fro_norm(total_truth)

@@ -12,11 +12,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dense_reference import columns, point, stack
+
 from segreopt import tensor as tc
 from segreopt.harness import config_from_preset, gen_instance, gen_truth, run_experiment
 from segreopt.manifold import (
     CPModel,
-    SegrePoint,
     incoherence,
     project_tangent,
     retract_thosvd,
@@ -112,13 +113,13 @@ def test_criterion_3_quadratic_phase_detection():
         prob = gen_instance(cfg, rep)
         rng = substream(cfg.seed, "init", rep)
         comps = []
-        for c in prob.truth.components:
+        for c in columns(prob.truth):
             us = []
-            for u in c.factors:
+            for u in (f[:, 0] for f in c.factors):
                 v = u + 0.05 * rng.standard_normal(u.size)
                 us.append(v / np.linalg.norm(v))
-            comps.append(SegrePoint(c.weight, tuple(us)))
-        init = CPModel(tuple(comps))
+            comps.append(point(c.weights[0], us))
+        init = stack(comps)
         _, trace = run(prob, SolverConfig(method="rgn", max_iters=10), init)
         eps = trace.column("max_comp_err")
         pairs = [(eps[t], eps[t + 1]) for t in range(len(eps) - 1)
@@ -203,7 +204,7 @@ def test_criterion_6_geometry_suite():
         for p in shape:
             u = rng.standard_normal(p)
             us.append(u / np.linalg.norm(u))
-        return SegrePoint(float(rng.uniform(0.5, 2.0)), tuple(us))
+        return point(float(rng.uniform(0.5, 2.0)), us)
 
     # projection properties on 100 random pairs
     for _ in range(100):
@@ -225,7 +226,7 @@ def test_criterion_6_geometry_suite():
 
     # second-order retraction
     pt = rand_point((6, 5, 4))
-    pt = SegrePoint(1.0, pt.factors)
+    pt = point(1.0, [f[:, 0] for f in pt.factors])
     x = pt.embed()
     xi = project_tangent(pt, rng.standard_normal(pt.shape))
     xi /= tc.fro_norm(xi)
@@ -267,17 +268,17 @@ def test_criterion_7_perturbation_inequalities():
         for p in (6, 5, 4):
             u = rng.standard_normal(p)
             us.append(u / np.linalg.norm(u))
-        truth = SegrePoint(float(rng.uniform(1.0, 4.0)), tuple(us))
+        truth = point(float(rng.uniform(1.0, 4.0)), us)
         t_emb = truth.embed()
         delta = rng.standard_normal(truth.shape)
-        delta *= rng.uniform(0.01, 1.0 / (4 * d)) * abs(truth.weight) / tc.fro_norm(delta)
+        delta *= rng.uniform(0.01, 1.0 / (4 * d)) * abs(truth.weights[0]) / tc.fro_norm(delta)
         est = retract_thosvd(t_emb + delta)
         diff = tc.fro_norm(est.embed() - t_emb)
-        if diff / abs(truth.weight) > 1.0 / (4 * d):
+        if diff / abs(truth.weights[0]) > 1.0 / (4 * d):
             continue
         own_checked += 1
         lhs = tc.fro_norm(t_emb - project_tangent(est, t_emb))
-        assert lhs <= 3 * d * diff**2 / abs(truth.weight) + 1e-12
+        assert lhs <= 3 * d * diff**2 / abs(truth.weights[0]) + 1e-12
 
     from segreopt.harness import gen_coherent_factors
     cross_checked = 0
@@ -287,9 +288,9 @@ def test_criterion_7_perturbation_inequalities():
         truth = CPModel.from_factors(rng.uniform(1.0, 3.0, size=2), mats)
         _, eta = incoherence(truth)
         ests, diffs, ok = [], [], True
-        for c in truth.components:
+        for c in columns(truth):
             delta = rng.standard_normal(c.shape)
-            delta *= rng.uniform(0.01, 1.0 / (4 * d)) * abs(c.weight) / tc.fro_norm(delta)
+            delta *= rng.uniform(0.01, 1.0 / (4 * d)) * abs(c.weights[0]) / tc.fro_norm(delta)
             e = retract_thosvd(c.embed() + delta)
             if tc.inner(e.embed(), c.embed()) < 0:
                 ok = False
@@ -301,9 +302,9 @@ def test_criterion_7_perturbation_inequalities():
         cross_checked += 1
         for i, j in ((0, 1), (1, 0)):
             lhs = tc.fro_norm(project_tangent(
-                ests[i], ests[j].embed() - truth.components[j].embed()))
-            eps_i = diffs[i] / abs(truth.components[i].weight)
-            eps_j = diffs[j] / abs(truth.components[j].weight)
+                ests[i], ests[j].embed() - columns(truth)[j].embed()))
+            eps_i = diffs[i] / abs(columns(truth)[i].weights[0])
+            eps_j = diffs[j] / abs(columns(truth)[j].weights[0])
             rhs = np.sqrt(2) * (d + 1) * diffs[j] * ((eps_j + eta) ** (d - 1) + eps_i)
             assert lhs <= rhs + 1e-12
     _report(7, True, "own-component and cross-component bounds: 100 instances each, 0 violations")
@@ -320,7 +321,7 @@ def test_criterion_8_gauss_newton_oracle():
         for p in shape:
             u = rng.standard_normal(p)
             us.append(u / np.linalg.norm(u))
-        pt = SegrePoint(float(rng.uniform(0.5, 2.0)), tuple(us))
+        pt = point(float(rng.uniform(0.5, 2.0)), us)
         df = tangent_dim(shape)
         n = 3 * df + int(rng.integers(0, 8))
         op = GaussianDesignOp.from_raw(rng.standard_normal((n,) + shape))
@@ -350,12 +351,12 @@ def test_criterion_9_gradient_finite_differences():
     prob = Problem(op=IdentityOp(truth.shape), y=y.ravel(), rank=2, truth=truth)
 
     comps = []
-    for c in truth.components:
+    for c in columns(truth):
         delta = rng.standard_normal(c.shape)
-        delta *= 0.1 * abs(c.weight) / tc.fro_norm(delta)
+        delta *= 0.1 * abs(c.weights[0]) / tc.fro_norm(delta)
         comps.append(retract_thosvd(c.embed() + delta))
-    model = CPModel(tuple(comps))
-    embeds = [c.embed() for c in model.components]
+    model = stack(comps)
+    embeds = [c.embed() for c in columns(model)]
 
     def loss(replacement, i):
         total = sum(embeds[j] if j != i else replacement for j in range(2))
@@ -367,9 +368,9 @@ def test_criterion_9_gradient_finite_differences():
     worst = 0.0
     for k in range(20):
         i = k % 2
-        point = model.components[i]
-        g = project_tangent(point, ambient)
-        xi = project_tangent(point, rng.standard_normal(point.shape))
+        pt = columns(model)[i]
+        g = project_tangent(pt, ambient)
+        xi = project_tangent(pt, rng.standard_normal(pt.shape))
         xi /= tc.fro_norm(xi)
         fd = (loss(embeds[i] + h * xi, i) - loss(embeds[i] - h * xi, i)) / (2 * h)
         rel = abs(tc.inner(g, xi) - fd) / abs(fd)

@@ -78,9 +78,8 @@ class TestDecompose:
         y = truth.embed() + 0.1 * rng.standard_normal(truth.shape)
         init = init_decomposition(y, 2, InitSpec(method="random", seed=3))
         model, _ = cp_als_decompose(y, 2, init, 7)
-        for c in model.components:
-            for f in c.factors:
-                assert abs(np.linalg.norm(f) - 1.0) <= 1e-12
+        for f in model.factors:
+            assert np.all(np.abs(np.linalg.norm(f, axis=0) - 1.0) <= 1e-12)
 
 
 class TestRegress:

@@ -77,14 +77,21 @@ def test_missing_preset_and_config_errors(tmp_path):
     ({}, ["decompose", "--config", "{bad_json}"]),
     ({"SEGREOPT_NOISE_SD": "nan"}, ["regress", "--preset", "smoke-regress"]),
     ({"SEGREOPT_KAPPA": "inf"}, ["decompose", "--preset", "smoke-decompose"]),
+    ({}, ["decompose", "--config", "{string_rank}"]),
+    ({}, ["decompose", "--config", "{string_flag}"]),
 ], ids=["env-rho", "env-seed", "bench-replicates", "missing-config", "bad-json-config",
-        "env-noise-nan", "env-kappa-inf"])
+        "env-noise-nan", "env-kappa-inf", "string-rank-config", "string-flag-config"])
 def test_bad_configuration_ends_in_error_line(tmp_path, monkeypatch, capsys, env, argv):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
     paths = {"missing": str(tmp_path / "missing.json"), "bad_json": str(bad_json)}
+    # a value of the wrong type: once a raw TypeError, once Gauss-Seidel switched on
+    for name, field in (("string_rank", {"rank": "2"}), ("string_flag", {"gauss_seidel": "no"})):
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump({"dims": [4, 4, 4], "replicates": 1, "max_iters": 1, **field}, fh)
     out = tmp_path / "out"
     rc = main([a.format(**paths) for a in argv] + ["--out", str(out)])
     assert rc == 2

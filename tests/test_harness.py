@@ -210,6 +210,25 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["failures"][0]["method"] == "rgn"
 
+    def test_non_orthogonal_direction_recorded_as_component_failure(self, monkeypatch):
+        # a direction h_k with a part along u_k breaks retract_factored's
+        # precondition; the update fails for that component, not the experiment
+        import segreopt.harness as hz
+        import segreopt.solvers as solvers
+
+        real = solvers.tangent_parts
+        def skewed(x, factors):
+            cores, hs = real(x, factors)
+            hs[0][:, -1] += factors[0][:, -1]
+            return cores, hs
+
+        monkeypatch.setattr(solvers, "tangent_parts", skewed)
+        cfg = self._smoke_config(replicates=1, methods=("rgd", "als"))
+        s = hz.run_experiment(cfg)
+        assert [(f["method"], f["component"]) for f in s.failures] == [("rgd", cfg.rank - 1)]
+        assert "not unit norm" in s.failures[0]["message"]
+        assert len(s.traces["rgd"][0].records) == 1 and len(s.traces["als"][0].records) > 1
+
     def test_divergence_recorded_as_replicate_failure(self, monkeypatch, tmp_path):
         import dataclasses
 
@@ -344,12 +363,27 @@ class TestPresets:
                                               ("dims", (5,)), ("dims", (0, 3, 3)),
                                               ("rank", 5), ("cpca_split", (0, 3)),
                                               ("cpca_split", (1, 1)), ("cpca_split", (0, 1, 2)),
-                                              ("kappa", math.inf), ("kappa", math.nan)])
+                                              ("kappa", math.inf), ("kappa", math.nan),
+                                              ("rank", "2"), ("rank", 2.5), ("rank", True),
+                                              ("noise_sd", "0.1"), ("kappa", False),
+                                              ("rho", True), ("gauss_seidel", "no"),
+                                              ("gauss_seidel", 1), ("dims", (4, "4", 4)),
+                                              ("dims", (4.0, 4, 4)), ("dims", "444"),
+                                              ("seed", 1.5), ("replicates", "3"),
+                                              ("n_samples", 20.0), ("max_iters", None),
+                                              ("init_refine_sweeps", False),
+                                              ("methods", ("als", 1)), ("methods", "als"),
+                                              ("task", 1), ("weight_law", None),
+                                              ("init_method", 2), ("cpca_split", (0, 1.0)),
+                                              ("cpca_split", 0), ("step_size", "0.2"),
+                                              ("stop_tol", None), ("pinv_tol", "1e-10")])
     def test_out_of_range_config_rejected(self, field, value):
         # checked at construction, before any instance is built; the base
         # config's adjoint-cpca init is out of range for a decompose task,
         # and its step size is checked although only ALS runs; rank 5 does
-        # not fit the (16, 4) unfolding of the spectral start
+        # not fit the (16, 4) unfolding of the spectral start.  Each field
+        # takes only its own type: integers (numpy's too, not bool), real
+        # numbers (not bool), a bool, strings, and lists of these
         base = {"task": "regress", "dims": (4, 4, 4), "init_method": "adjoint-cpca",
                 "methods": ("als",)}
         with pytest.raises(ValueError, match=field):
@@ -365,6 +399,31 @@ class TestPresets:
         ExperimentConfig(task="decompose", dims=(4, 4, 4), rank=6)
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(task="decompose", dims=(4, 4, 4), **overrides)
+
+    def test_numpy_numbers_accepted(self):
+        cfg = ExperimentConfig(task="regress", dims=tuple(np.arange(3, 6)), rank=np.int64(2),
+                               noise_sd=np.float64(0.5), kappa=np.float32(2.0),
+                               n_samples=np.int32(40), seed=np.uint8(3), replicates=1)
+        assert cfg.dims == (3, 4, 5) and gen_instance(cfg, 0).y.shape == (40,)
+
+    @pytest.mark.parametrize("task, rank, kappa", [("decompose", 3, 1e300), ("regress", 4, 1e300),
+                                                   ("regress", 5, 1e300), ("decompose", 3, 1e153)])
+    def test_truth_norm_overflow_rejected(self, task, rank, kappa):
+        # ||T||^2 <= (r w_max)^2 must be finite, or scoring the start fails
+        with pytest.raises(ValueError, match="kappa"):
+            ExperimentConfig(task=task, dims=(4, 4, 4), rank=rank,
+                             weight_law="geometric-kappa", kappa=kappa)
+
+    def test_largest_accepted_kappa_runs(self):
+        # w_max = 2 kappa sqrt(3) 4^0.75 here, so (3 w_max)^2 is finite just below this kappa
+        kappa = 1e152
+        cfg = ExperimentConfig(task="decompose", dims=(4, 4, 4), rank=3, noise_sd=0.0,
+                               weight_law="geometric-kappa", kappa=kappa, replicates=1,
+                               methods=("rgn",), max_iters=2)
+        summary = run_experiment(cfg)
+        assert math.isfinite(summary.init_errors[0])
+        with pytest.raises(ValueError, match="kappa"):
+            ExperimentConfig(**{**cfg.to_dict(), "kappa": 10 * kappa})
 
     def test_to_dict_round_trips(self):
         for name in preset_names():

@@ -86,9 +86,8 @@ class TestCPCA:
         rng = np.random.default_rng(3)
         t = rng.standard_normal((5, 4, 3))
         model = cpca(t, 2)
-        for c in model.components:
-            for f in c.factors:
-                assert abs(np.linalg.norm(f) - 1.0) <= 1e-12
+        for f in model.factors:
+            assert np.all(np.abs(np.linalg.norm(f, axis=0) - 1.0) <= 1e-12)
 
     def test_zero_tensor_degenerate(self):
         with pytest.raises(DegenerateInputError):
@@ -107,26 +106,24 @@ class TestInitDecomposition:
         spec = InitSpec(method="random", seed=99)
         a = init_decomposition(y, 3, spec)
         b = init_decomposition(y, 3, spec)
-        for ca, cb in zip(a.components, b.components):
-            assert ca.weight == cb.weight
-            for fa, fb in zip(ca.factors, cb.factors):
-                assert np.array_equal(fa, fb)
+        assert np.array_equal(a.weights, b.weights)
+        for fa, fb in zip(a.factors, b.factors):
+            assert np.array_equal(fa, fb)
 
     def test_random_factors_unit_norm(self):
         rng = np.random.default_rng(6)
         y = rng.standard_normal((5, 3, 4))
         model = init_decomposition(y, 2, InitSpec(method="random", seed=1))
-        for c in model.components:
-            for f in c.factors:
-                assert abs(np.linalg.norm(f) - 1.0) <= 1e-12
+        for f in model.factors:
+            assert np.all(np.abs(np.linalg.norm(f, axis=0) - 1.0) <= 1e-12)
 
     def test_random_weights_are_projections(self):
         rng = np.random.default_rng(7)
         y = rng.standard_normal((4, 4, 3))
         model = init_decomposition(y, 2, InitSpec(method="random", seed=2))
-        for c in model.components:
-            assert c.weight == pytest.approx(
-                tc.inner(y, tc.outer_rank_one(1.0, c.factors)), rel=1e-10)
+        for i, w in enumerate(model.weights):
+            assert w == pytest.approx(
+                tc.inner(y, tc.outer_rank_one(1.0, [u[:, i] for u in model.factors])), rel=1e-10)
 
     def test_cpca_method_on_orthogonal_instance(self):
         rng = np.random.default_rng(8)
@@ -141,7 +138,7 @@ class TestInitDecomposition:
         entries = np.empty((draws, p))
         for s in range(draws):
             m = init_decomposition(np.ones((p, p)), 1, InitSpec(method="random", seed=s))
-            entries[s] = m.components[0].factors[0]
+            entries[s] = m.factors[0][:, 0]
         se = entries.std(axis=0) / np.sqrt(draws)
         assert np.all(np.abs(entries.mean(axis=0)) <= 3 * se + 1e-12)
 

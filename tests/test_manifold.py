@@ -11,7 +11,7 @@ from segreopt import tensor as tc
 from segreopt.manifold import (
     CPModel,
     DegenerateInputError,
-    SegrePoint,
+    TangentBasis,
     align_and_error,
     embed_tangent,
     incoherence,
@@ -28,7 +28,12 @@ def random_point(rng, shape, weight=None):
     for p in shape:
         u = rng.standard_normal(p)
         us.append(u / np.linalg.norm(u))
-    return SegrePoint(weight if weight is not None else float(rng.uniform(0.5, 3.0)), tuple(us))
+    return dense.point(weight if weight is not None else float(rng.uniform(0.5, 3.0)), us)
+
+
+def vectors(pt):
+    """The factor vectors of a rank-1 model."""
+    return tuple(u[:, 0] for u in pt.factors)
 
 
 def dense_projector(point):
@@ -43,37 +48,50 @@ def dense_projector(point):
 
 
 class TestSegrePoint:
+    """A point of the Segre manifold, one rank-one tensor, is a rank-1 model,
+    checked by ``from_factors``."""
+
     def test_requires_unit_factors(self):
         with pytest.raises(ValueError):
-            SegrePoint(1.0, (np.array([1.0, 1.0]), np.array([1.0, 0.0])))
+            CPModel.from_factors([1.0], [np.array([[1.0], [1.0]]), np.array([[1.0], [0.0]])])
 
     def test_requires_finite_factors(self):
         with pytest.raises(ValueError, match="not unit norm"):
-            SegrePoint(1.0, (np.array([np.nan, 0.0]), np.array([1.0, 0.0])))
+            CPModel.from_factors([1.0], [np.array([[np.nan], [0.0]]), np.array([[1.0], [0.0]])])
 
     def test_requires_nonzero_weight(self):
         with pytest.raises(ValueError):
-            SegrePoint(0.0, (np.array([1.0, 0.0]), np.array([1.0, 0.0])))
+            CPModel.from_factors([0.0], [np.array([[1.0], [0.0]]), np.array([[1.0], [0.0]])])
 
     def test_embed_matches_outer(self):
         rng = np.random.default_rng(0)
         pt = random_point(rng, (3, 4, 2), weight=-2.5)
-        assert np.allclose(pt.embed(), tc.outer_rank_one(-2.5, pt.factors))
+        assert np.allclose(pt.embed(), tc.outer_rank_one(-2.5, vectors(pt)))
         assert abs(tc.fro_norm(pt.embed()) - 2.5) < 1e-10
 
     def test_stored_factors_renormalized(self):
         u = np.array([1.0 + 3e-8, 0.0])
-        pt = SegrePoint(1.0, (u, np.array([0.0, 1.0])))
-        for f in pt.factors:
+        pt = dense.point(1.0, (u, np.array([0.0, 1.0])))
+        for f in vectors(pt):
             assert abs(np.linalg.norm(f) - 1.0) <= 1e-12
+
+    def test_no_public_constructor_from_points(self):
+        rng = np.random.default_rng(1)
+        with pytest.raises(TypeError):
+            CPModel((random_point(rng, (2, 2)), random_point(rng, (2, 2))))
+
+    @pytest.mark.parametrize("use", [
+        lambda m: project_tangent(m, np.zeros(m.shape)),
+        tangent_basis,
+        lambda m: TangentBasis(m, np.zeros((1,) + m.shape)),
+    ], ids=["project_tangent", "tangent_basis", "TangentBasis"])
+    def test_single_point_functions_reject_other_ranks(self, use):
+        model = CPModel.from_factors([1.0, 2.0], [np.eye(3)[:, :2]] * 3)
+        with pytest.raises(ValueError, match="rank-1 model"):
+            use(model)
 
 
 class TestCPModel:
-    def test_shape_mismatch_rejected(self):
-        rng = np.random.default_rng(1)
-        with pytest.raises(ValueError):
-            CPModel((random_point(rng, (2, 2)), random_point(rng, (3, 2))))
-
     @pytest.mark.parametrize("weights,factors,message", [
         ([1.0], [np.ones(3) / np.sqrt(3)] * 3, "mode 0 factor matrix must be 2-D"),
         ([1.0], [np.eye(3)[:, :2]] * 3, "mode 0 factor matrix has 2 columns for 1 weights"),
@@ -95,18 +113,18 @@ class TestCPModel:
 
     def test_factor_matrix_round_trip(self):
         rng = np.random.default_rng(2)
-        model = CPModel(tuple(random_point(rng, (4, 3)) for _ in range(3)))
+        model = dense.stack(random_point(rng, (4, 3)) for _ in range(3))
         rebuilt = CPModel.from_factors(model.weights, model.factors)
         assert np.allclose(rebuilt.embed(), model.embed())
 
     @pytest.mark.parametrize("shape", [(4, 3), (2, 5, 3), (3, 2, 4, 2)])
     def test_embed_is_sum_of_outer_products(self, shape):
         rng = np.random.default_rng(3)
-        model = CPModel(tuple(random_point(rng, shape) for _ in range(3)))
-        dense = sum(tc.outer_rank_one(c.weight, c.factors) for c in model.components)
+        model = dense.stack(random_point(rng, shape) for _ in range(3))
+        want = sum(tc.outer_rank_one(c.weights[0], vectors(c)) for c in dense.columns(model))
         got = model.embed()
         assert got.shape == shape
-        assert tc.fro_norm(got - dense) <= 1e-14 * tc.fro_norm(dense)
+        assert tc.fro_norm(got - want) <= 1e-14 * tc.fro_norm(want)
 
 
 class TestProjectTangent:
@@ -119,7 +137,7 @@ class TestProjectTangent:
     def test_doubly_orthogonal_direction_killed(self):
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
-        pt = SegrePoint(1.0, (e1, e1))
+        pt = dense.point(1.0, (e1, e1))
         x = tc.outer_rank_one(1.0, [e2, e2])
         assert np.allclose(project_tangent(pt, x), 0.0)
 
@@ -203,9 +221,9 @@ class TestRetraction:
         pt = random_point(rng, (4, 3, 5), weight=2.0)
         back = retract_thosvd(pt.embed())
         assert np.allclose(back.embed(), pt.embed(), rtol=1e-12, atol=1e-12)
-        assert abs(back.weight) == pytest.approx(2.0, rel=1e-12)
+        assert abs(back.weights[0]) == pytest.approx(2.0, rel=1e-12)
         again = retract_thosvd(back.embed())
-        assert again.weight == pytest.approx(back.weight, rel=1e-12)
+        assert again.weights[0] == pytest.approx(back.weights[0], rel=1e-12)
 
     def test_negative_weight_recovered(self):
         rng = np.random.default_rng(15)
@@ -226,10 +244,10 @@ class TestRetraction:
             if v[np.argmax(np.abs(v))] < 0:
                 v = -v
             lam = float(x.ravel() @ np.outer(u, v).ravel())
-            assert abs(abs(pt.weight) - s[0]) <= 1e-10 * s[0]
-            assert np.allclose(pt.factors[0], u, atol=1e-10)
-            assert np.allclose(pt.factors[1], v, atol=1e-10)
-            assert pt.weight == pytest.approx(lam, rel=1e-10)
+            assert abs(abs(pt.weights[0]) - s[0]) <= 1e-10 * s[0]
+            assert np.allclose(pt.factors[0][:, 0], u, atol=1e-10)
+            assert np.allclose(pt.factors[1][:, 0], v, atol=1e-10)
+            assert pt.weights[0] == pytest.approx(lam, rel=1e-10)
 
     def test_second_order_retraction_slope(self):
         rng = np.random.default_rng(17)
@@ -250,7 +268,7 @@ class TestRetraction:
             retract_thosvd(np.zeros((3, 3, 3)))
 
 
-def columns(vectors):
+def one_column(vectors):
     """One-column matrices, the form :func:`retract_factored` takes for a single point."""
     return [np.asarray(v)[:, None] for v in vectors]
 
@@ -268,11 +286,11 @@ class TestFactoredRetraction:
         pt = random_point(rng, tuple(shape))
         w = {"positive": 1.0, "negative": -1.0, "zero": 0.0}[weight] * rng.uniform(0.1, 3.0)
         hs = []
-        for u, zero in zip(pt.factors, zero_modes):
+        for u, zero in zip(vectors(pt), zero_modes):
             h = rng.standard_normal(u.size) * rng.uniform(0.01, 2.0)
             h -= np.dot(u, h) * u
             hs.append(np.zeros(u.size) if zero or u.size == 1 else h)
-        x = embed_tangent(w, pt.factors, hs)
+        x = embed_tangent(w, vectors(pt), hs)
         assume(tc.fro_norm(x) > 0.0)
         # the leading singular vectors must be well defined, and the weight
         # clear of round-off (a zero weight in exact arithmetic is degenerate)
@@ -280,19 +298,19 @@ class TestFactoredRetraction:
             s = np.linalg.svd(tc.unfold(x, k), compute_uv=False)
             assume(s.size == 1 or s[1] <= 0.999 * s[0])
         try:
-            dense = retract_thosvd(x)
+            want = retract_thosvd(x)
         except DegenerateInputError:
             assume(False)
-        assume(abs(dense.weight) >= 1e-6 * tc.fro_norm(x))
-        (got,) = retract_factored(np.array([w]), columns(pt.factors), columns(hs)).components
-        want = dense.embed()
+        assume(abs(want.weights[0]) >= 1e-6 * tc.fro_norm(x))
+        got = retract_factored(np.array([w]), pt.factors, one_column(hs))
+        want = want.embed()
         assert tc.fro_norm(got.embed() - want) <= 1e-12 * tc.fro_norm(want)
 
     def test_zero_input_degenerate(self):
         rng = np.random.default_rng(40)
         pt = random_point(rng, (3, 4, 5))
         with pytest.raises(DegenerateInputError):
-            retract_factored(np.zeros(1), columns(pt.factors), [np.zeros((p, 1)) for p in pt.shape])
+            retract_factored(np.zeros(1), pt.factors, [np.zeros((p, 1)) for p in pt.shape])
 
     def test_zero_weight_degenerate_like_dense(self):
         e1, e2 = np.eye(3)[0], np.eye(3)[1]
@@ -301,18 +319,18 @@ class TestFactoredRetraction:
         with pytest.raises(DegenerateInputError):
             retract_thosvd(embed_tangent(0.0, factors, hs))
         with pytest.raises(DegenerateInputError):
-            retract_factored(np.zeros(1), columns(factors), columns(hs))
+            retract_factored(np.zeros(1), one_column(factors), one_column(hs))
 
     def test_zero_direction_keeps_factor(self):
         rng = np.random.default_rng(41)
         pt = random_point(rng, (4, 5, 3))
+        us = vectors(pt)
         h = rng.standard_normal(5)
-        h -= np.dot(pt.factors[1], h) * pt.factors[1]
-        (got,) = retract_factored(np.array([pt.weight]), columns(pt.factors),
-                                  columns([np.zeros(4), h, np.zeros(3)])).components
+        h -= np.dot(us[1], h) * us[1]
+        got = retract_factored(pt.weights, pt.factors, one_column([np.zeros(4), h, np.zeros(3)]))
         for k in (0, 2):
-            u = pt.factors[k]
-            assert np.allclose(got.factors[k], u if u[np.argmax(np.abs(u))] > 0 else -u,
+            u = us[k]
+            assert np.allclose(got.factors[k][:, 0], u if u[np.argmax(np.abs(u))] > 0 else -u,
                                rtol=0, atol=1e-15)
 
     def test_tie_warns_like_dense(self, caplog):
@@ -320,7 +338,7 @@ class TestFactoredRetraction:
         factors = (e1, e1)
         hs = [e2, e2]  # e2 ⊗ e1 + e1 ⊗ e2 has two equal singular values
         for retract in (lambda: retract_thosvd(embed_tangent(0.0, factors, hs)),
-                        lambda: retract_factored(np.zeros(1), columns(factors), columns(hs))):
+                        lambda: retract_factored(np.zeros(1), one_column(factors), one_column(hs))):
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="segreopt.manifold"):
                 try:
@@ -330,11 +348,20 @@ class TestFactoredRetraction:
             assert any("tied" in m for m in caplog.messages)
 
 
+    def test_direction_along_its_factor_degenerate(self):
+        # h_0 = u_0 / 2 is not orthogonal to u_0, so the new factor is off the
+        # unit sphere: a degenerate column, not a raw ValueError
+        e4, e3 = np.eye(4)[0], np.eye(3)[0]
+        with pytest.raises(DegenerateInputError, match="column 0 is not unit norm") as exc_info:
+            retract_factored(np.array([1.0]), one_column([e4, e3]),
+                             one_column([0.5 * e4, np.zeros(3)]))
+        assert exc_info.value.column == 0
+
     def test_first_bad_column_named(self):
         rng = np.random.default_rng(42)
         pts = [random_point(rng, (3, 4, 2)) for _ in range(3)]
-        factors = [np.column_stack([p.factors[k] for p in pts]) for k in range(3)]
-        weights = np.array([pts[0].weight, 0.0, 0.0])
+        factors = [np.hstack([p.factors[k] for p in pts]) for k in range(3)]
+        weights = np.array([pts[0].weights[0], 0.0, 0.0])
         directions = [np.zeros_like(u) for u in factors]  # columns 1 and 2 are zero
         with pytest.raises(DegenerateInputError, match="column 1") as exc_info:
             retract_factored(weights, factors, directions)
@@ -346,14 +373,14 @@ def perturbed_copy(truth, rng, scale):
     drawn at random, and every factor and weight perturbed at ``scale``."""
     comps = []
     for i in rng.permutation(truth.rank):
-        c = truth.components[i]
+        c = dense.columns(truth)[i]
         fs = []
-        for u in c.factors:
+        for u in vectors(c):
             v = rng.choice([-1.0, 1.0]) * (u + scale * rng.standard_normal(u.size))
             fs.append(v / np.linalg.norm(v))
-        w = rng.choice([-1.0, 1.0]) * c.weight * (1.0 + scale * rng.standard_normal())
-        comps.append(SegrePoint(w, tuple(fs)))
-    return CPModel(tuple(comps))
+        w = rng.choice([-1.0, 1.0]) * c.weights[0] * (1.0 + scale * rng.standard_normal())
+        comps.append(dense.point(w, fs))
+    return dense.stack(comps)
 
 
 def greedy_margin(estimate, truth):
@@ -384,9 +411,9 @@ class TestAgainstDenseReference:
     )
     def test_align_and_error_matches_dense(self, seed, shape, r, log_scale):
         rng = np.random.default_rng(seed)
-        truth = CPModel(tuple(
+        truth = dense.stack(
             random_point(rng, tuple(shape), weight=float(rng.choice([-1, 1]) * rng.uniform(0.5, 3.0)))
-            for _ in range(r)))
+            for _ in range(r))
         est = perturbed_copy(truth, rng, 10.0**log_scale)
         assume(greedy_margin(est, truth) > 1e-9)
         got = align_and_error(est, truth)
@@ -395,9 +422,8 @@ class TestAgainstDenseReference:
         assert got.sign_flips == want.sign_flips
         assert abs(got.max_component_error - want.max_component_error) <= 1e-13
         assert abs(got.rel_frobenius_error - want.rel_frobenius_error) <= 1e-13
-        for a, b in zip(got.aligned.components, want.aligned.components):
-            assert a.weight == b.weight
-            assert all(np.array_equal(f, g) for f, g in zip(a.factors, b.factors))
+        assert np.array_equal(got.aligned.weights, want.aligned.weights)
+        assert all(np.array_equal(f, g) for f, g in zip(got.aligned.factors, want.aligned.factors))
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -426,9 +452,9 @@ class TestAgainstDenseReference:
             for k in range(x.ndim):
                 s = np.linalg.svd(tc.unfold(x, k), compute_uv=False)
                 assume(s[1] <= 0.999 * s[0])
-            assume(abs(want[i].weight) >= 1e-6 * tc.fro_norm(x))
+            assume(abs(want[i].weights[0]) >= 1e-6 * tc.fro_norm(x))
         got = retract_factored(weights, factors, directions)
-        for g, w in zip(got.components, want):
+        for g, w in zip(dense.columns(got), want):
             assert tc.fro_norm(g.embed() - w.embed()) <= 1e-12 * tc.fro_norm(w.embed())
 
 
@@ -443,14 +469,14 @@ class TestIncoherence:
     def test_identical_components_maximal(self):
         rng = np.random.default_rng(18)
         pt = random_point(rng, (5, 5))
-        model = CPModel((pt, SegrePoint(2.0, pt.factors)))
+        model = dense.stack([pt, dense.point(2.0, vectors(pt))])
         mus, eta = incoherence(model)
         assert mus[0] == pytest.approx(5.0, rel=1e-12)
         assert eta == pytest.approx(1.0, rel=1e-12)
 
     def test_rank_one_is_zero_by_convention(self):
         rng = np.random.default_rng(19)
-        model = CPModel((random_point(rng, (3, 3)),))
+        model = random_point(rng, (3, 3))
         assert incoherence(model) == ([0.0, 0.0], 0.0)
 
     def test_ar1_eta_is_rho_and_rotation_invariant(self):
@@ -469,8 +495,8 @@ class TestIncoherence:
 
 class TestAlignAndError:
     def _model(self, rng, shape=(4, 3, 2), r=3):
-        return CPModel(tuple(random_point(rng, shape, weight=float(rng.uniform(1, 3)))
-                             for _ in range(r)))
+        return dense.stack(random_point(rng, shape, weight=float(rng.uniform(1, 3)))
+                           for _ in range(r))
 
     def test_identical_models(self):
         rng = np.random.default_rng(21)
@@ -483,7 +509,7 @@ class TestAlignAndError:
     def test_reversed_order_matched(self):
         rng = np.random.default_rng(22)
         m = self._model(rng)
-        rev = CPModel(tuple(reversed(m.components)))
+        rev = dense.stack(reversed(dense.columns(m)))
         rep = align_and_error(rev, m)
         assert rep.max_component_error <= 1e-12
         assert rep.permutation == (2, 1, 0)
@@ -492,12 +518,12 @@ class TestAlignAndError:
         # every sign pattern of the factors is undone via the weight flip
         rng = np.random.default_rng(23)
         m = self._model(rng, r=2)
-        first = m.components[0]
+        first, second = dense.columns(m)
         for pattern in range(8):
             signs = [(-1.0 if pattern & (1 << l) else 1.0) for l in range(3)]
-            flipped = SegrePoint(first.weight,
-                                 tuple(s * f for s, f in zip(signs, first.factors)))
-            est = CPModel((flipped, m.components[1]))
+            flipped = dense.point(first.weights[0],
+                                  [s * f for s, f in zip(signs, vectors(first))])
+            est = dense.stack([flipped, second])
             rep = align_and_error(est, m)
             assert rep.max_component_error <= 1e-12
             expected_flip = -1 if np.prod(signs) < 0 else 1
@@ -507,32 +533,32 @@ class TestAlignAndError:
         rng = np.random.default_rng(24)
         m = self._model(rng, r=2)
         with pytest.raises(ValueError):
-            align_and_error(m, CPModel(m.components[:1]))
+            align_and_error(m, dense.columns(m)[0])
 
     def test_reported_metrics_match_direct_computation(self):
         rng = np.random.default_rng(25)
         truth = self._model(rng)
-        est = CPModel(tuple(
-            retract_thosvd(c.embed() + 0.05 * abs(c.weight) * rng.standard_normal(c.shape))
-            for c in truth.components))
+        est = dense.stack(
+            retract_thosvd(c.embed() + 0.05 * abs(c.weights[0]) * rng.standard_normal(c.shape))
+            for c in dense.columns(truth))
         rep = align_and_error(est, truth)
         direct_max = max(
-            tc.fro_norm(e.embed() - t.embed()) / abs(t.weight)
-            for e, t in zip(rep.aligned.components, truth.components))
+            tc.fro_norm(e.embed() - t.embed()) / abs(t.weights[0])
+            for e, t in zip(dense.columns(rep.aligned), dense.columns(truth)))
         assert rep.max_component_error == pytest.approx(direct_max, rel=1e-12)
         direct_rel = tc.fro_norm(rep.aligned.embed() - truth.embed()) / tc.fro_norm(truth.embed())
         assert rep.rel_frobenius_error == pytest.approx(direct_rel, rel=1e-9)
 
 
     def test_aligned_is_built_on_first_access(self, monkeypatch):
-        # a trace row reads only the errors: no SegrePoint per row
+        # a trace row reads only the errors: no model is built per row
         rng = np.random.default_rng(26)
         truth = self._model(rng)
-        est = CPModel(tuple(SegrePoint(-c.weight, c.factors) for c in reversed(truth.components)))
+        est = CPModel.from_factors(-truth.weights[::-1], [u[:, ::-1] for u in truth.factors])
         built = []
-        components = CPModel.components
-        monkeypatch.setattr(CPModel, "components",
-                            property(lambda m: built.append(1) or components.fget(m)))
+        of = CPModel._of.__func__
+        monkeypatch.setattr(CPModel, "_of",
+                            classmethod(lambda cls, *args: built.append(1) or of(cls, *args)))
         rep = align_and_error(est, truth)
         assert built == []
         aligned = rep.aligned
@@ -551,14 +577,14 @@ class TestPerturbationBounds:
             truth = random_point(rng, (6, 5, 4), weight=float(rng.uniform(1.0, 4.0)))
             t_emb = truth.embed()
             delta = rng.standard_normal(truth.shape)
-            delta *= rng.uniform(0.01, 1.0 / (4 * d)) * abs(truth.weight) / tc.fro_norm(delta)
+            delta *= rng.uniform(0.01, 1.0 / (4 * d)) * abs(truth.weights[0]) / tc.fro_norm(delta)
             est = retract_thosvd(t_emb + delta)
             diff = tc.fro_norm(est.embed() - t_emb)
-            if diff / abs(truth.weight) > 1.0 / (4 * d):
+            if diff / abs(truth.weights[0]) > 1.0 / (4 * d):
                 continue
             checked += 1
             resid = tc.fro_norm(t_emb - project_tangent(est, t_emb))
-            assert resid <= 3 * d * diff**2 / abs(truth.weight) + 1e-12
+            assert resid <= 3 * d * diff**2 / abs(truth.weights[0]) + 1e-12
 
     def test_cross_component_bound(self):
         from segreopt.harness import gen_coherent_factors
@@ -573,9 +599,9 @@ class TestPerturbationBounds:
             _, eta = incoherence(truth)
             ests, diffs = [], []
             ok = True
-            for c in truth.components:
+            for c in dense.columns(truth):
                 delta = rng.standard_normal(c.shape)
-                delta *= rng.uniform(0.01, 1.0 / (4 * d)) * abs(c.weight) / tc.fro_norm(delta)
+                delta *= rng.uniform(0.01, 1.0 / (4 * d)) * abs(c.weights[0]) / tc.fro_norm(delta)
                 e = retract_thosvd(c.embed() + delta)
                 if tc.inner(e.embed(), c.embed()) < 0:
                     ok = False
@@ -586,10 +612,10 @@ class TestPerturbationBounds:
                 continue
             checked += 1
             for i, j in ((0, 1), (1, 0)):
-                lhs = tc.fro_norm(project_tangent(
-                    ests[i], ests[j].embed() - truth.components[j].embed()))
-                eps_i = diffs[i] / abs(truth.components[i].weight)
-                eps_j = diffs[j] / abs(truth.components[j].weight)
+                comps = dense.columns(truth)
+                lhs = tc.fro_norm(project_tangent(ests[i], ests[j].embed() - comps[j].embed()))
+                eps_i = diffs[i] / abs(comps[i].weights[0])
+                eps_j = diffs[j] / abs(comps[j].weights[0])
                 rhs = (np.sqrt(2) * (d + 1) * diffs[j]
                        * ((eps_j + eta) ** (d - 1) + eps_i))
                 assert lhs <= rhs + 1e-12

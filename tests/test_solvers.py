@@ -3,13 +3,14 @@ import logging
 import numpy as np
 import pytest
 
+import dense_reference as dense
+
 from segreopt import tensor as tc
 from segreopt.als import cp_als_decompose, cp_als_regress
 from segreopt.harness import ExperimentConfig, config_from_preset, gen_instance
 from segreopt.initialization import InitSpec, init_decomposition, init_regression
 from segreopt.manifold import (
     CPModel,
-    SegrePoint,
     align_and_error,
     project_tangent,
     retract_thosvd,
@@ -33,7 +34,7 @@ def random_point(rng, shape, weight=None):
     for p in shape:
         u = rng.standard_normal(p)
         us.append(u / np.linalg.norm(u))
-    return SegrePoint(weight if weight is not None else float(rng.uniform(1.0, 3.0)), tuple(us))
+    return dense.point(weight if weight is not None else float(rng.uniform(1.0, 3.0)), us)
 
 
 def orthogonal_model(rng, shape, r, weights):
@@ -46,12 +47,12 @@ def orthogonal_model(rng, shape, r, weights):
 
 def perturbed(model, eps, rng):
     comps = []
-    for c in model.components:
+    for c in dense.columns(model):
         t = c.embed()
         delta = rng.standard_normal(t.shape)
-        delta *= eps * abs(c.weight) / tc.fro_norm(delta)
+        delta *= eps * abs(c.weights[0]) / tc.fro_norm(delta)
         comps.append(retract_thosvd(t + delta))
-    return CPModel(tuple(comps))
+    return dense.stack(comps)
 
 
 def smoke_start(preset):
@@ -100,7 +101,7 @@ class TestRgdStep:
         noise = 0.3 * rng.standard_normal(truth.shape)
         prob = identity_problem(truth, noise)
         model = perturbed(truth, 0.1, rng)
-        embeds = [c.embed() for c in model.components]
+        embeds = [c.embed() for c in dense.columns(model)]
 
         def loss(replacement, i):
             total = sum(embeds[j] if j != i else replacement for j in range(model.rank))
@@ -110,7 +111,7 @@ class TestRgdStep:
         misfit = prob.op.apply(sum(embeds)) - prob.y
         ambient = prob.op.adjoint(misfit)
         h = 1e-6
-        for i, point in enumerate(model.components):
+        for i, point in enumerate(dense.columns(model)):
             g = project_tangent(point, ambient)
             for _ in range(20 // model.rank + 1):
                 xi = project_tangent(point, rng.standard_normal(point.shape))
@@ -138,14 +139,14 @@ class TestRgdStep:
         state = SolverState.initial(prob, start)
         alpha = cfg.step_size
         got = rgd_step(state, prob, alpha, gauss_seidel=gauss_seidel)
-        embeds = [c.embed() for c in start.components]
+        embeds = [c.embed() for c in dense.columns(start)]
         total = np.sum(embeds, axis=0)
         ambient = op.adjoint(-state.residual)
-        for i, point in enumerate(start.components):
+        for i, point in enumerate(dense.columns(start)):
             if gauss_seidel and i > 0:
                 ambient = op.adjoint(op.apply(total) - prob.y)
             expected = retract_thosvd(embeds[i] - alpha * project_tangent(point, ambient)).embed()
-            assert tc.fro_norm(got.model.components[i].embed() - expected) <= (
+            assert tc.fro_norm(dense.columns(got.model)[i].embed() - expected) <= (
                 1e-12 * tc.fro_norm(expected))
             total += expected - embeds[i]
 
@@ -246,10 +247,9 @@ class TestRgnStep:
         state = SolverState.initial(prob, start)
         a = rgn_step(state, prob)
         b = rgd_step(state, prob, alpha=1.0)
-        for ca, cb in zip(a.model.components, b.model.components):
-            assert ca.weight == cb.weight
-            for fa, fb in zip(ca.factors, cb.factors):
-                assert np.array_equal(fa, fb)
+        assert np.array_equal(a.model.weights, b.model.weights)
+        for fa, fb in zip(a.model.factors, b.model.factors):
+            assert np.array_equal(fa, fb)
 
     def test_identity_matches_leave_one_out_projection_form(self):
         rng = np.random.default_rng(11)
@@ -259,11 +259,11 @@ class TestRgnStep:
         state = SolverState.initial(prob, start)
         stepped = rgn_step(state, prob)
         y = prob.y.reshape(truth.shape)
-        embeds = [c.embed() for c in start.components]
-        for i, point in enumerate(start.components):
+        embeds = [c.embed() for c in dense.columns(start)]
+        for i, point in enumerate(dense.columns(start)):
             rhs = y - (sum(embeds) - embeds[i])
             expected = retract_thosvd(project_tangent(point, rhs))
-            got = stepped.model.components[i]
+            got = dense.columns(stepped.model)[i]
             assert np.allclose(got.embed(), expected.embed(), atol=1e-9)
 
     def test_quadratic_contraction_rank_one(self):
@@ -297,12 +297,12 @@ class TestRgnStep:
             got = rgn_step(SolverState.initial(prob, start), prob, gauss_seidel=gauss_seidel)
             fresh = prob.y - op.apply(got.model.embed())
             assert np.linalg.norm(got.residual - fresh) <= 1e-12 * np.linalg.norm(fresh)
-            applied = [op.apply(c.embed()) for c in start.components]
+            applied = [op.apply(c.embed()) for c in dense.columns(start)]
             total = np.sum(applied, axis=0)
-            for i, point in enumerate(start.components):
+            for i, point in enumerate(dense.columns(start)):
                 rhs = prob.y - (total - applied[i])
                 expected = retract_thosvd(solve_tangent_ls(point, op, rhs)).embed()
-                assert tc.fro_norm(got.model.components[i].embed() - expected) <= (
+                assert tc.fro_norm(dense.columns(got.model)[i].embed() - expected) <= (
                     1e-12 * tc.fro_norm(expected))
                 if gauss_seidel:
                     new = op.apply(expected)
@@ -333,10 +333,9 @@ class TestRgnStep:
         assert np.linalg.norm(first.residual - fresh) <= 1e-12 * np.linalg.norm(fresh)
         chained = rgn_step(first, prob)
         restarted = rgn_step(SolverState.initial(prob, first.model), prob)
-        for ca, cb in zip(chained.model.components, restarted.model.components):
-            assert ca.weight == cb.weight
-            for fa, fb in zip(ca.factors, cb.factors):
-                assert np.array_equal(fa, fb)
+        assert np.array_equal(chained.model.weights, restarted.model.weights)
+        for fa, fb in zip(chained.model.factors, restarted.model.factors):
+            assert np.array_equal(fa, fb)
         for va, vb in zip(chained.contractions, restarted.contractions):
             assert np.array_equal(va, vb)
 
@@ -345,11 +344,11 @@ class TestRgnStep:
         # removing the others: the tangent fit collapses to the zero tensor
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
-        point = SegrePoint(1.0, (e1, e1))
+        point = dense.point(1.0, (e1, e1))
         y = tc.outer_rank_one(1.0, [e2, e2])  # orthogonal to tangent space
         prob = Problem(op=IdentityOp((2, 2)), y=y.ravel(), rank=1,
                        truth=None)
-        state = SolverState.initial(prob, CPModel((point,)))
+        state = SolverState.initial(prob, point)
         with pytest.raises(SolverError) as exc_info:
             rgn_step(state, prob)
         assert exc_info.value.component == 0
@@ -375,10 +374,9 @@ class TestRun:
         cfg = SolverConfig(method="rgd", step_size=0.2, max_iters=10)
         model, trace = run(prob, cfg, init)
         # the returned model satisfies the invariants (constructor re-checks)
-        for c in model.components:
-            for f in c.factors:
-                assert abs(np.linalg.norm(f) - 1.0) <= 1e-12
-            assert c.weight != 0
+        for f in model.factors:
+            assert np.all(np.abs(np.linalg.norm(f, axis=0) - 1.0) <= 1e-12)
+        assert np.all(model.weights != 0)
 
     def test_deterministic_traces(self):
         cfg = ExperimentConfig(task="decompose", dims=(6, 6, 6), rank=2, rho=0.0,
@@ -403,11 +401,11 @@ class TestRun:
     def test_solver_error_carries_partial_trace(self):
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
-        point = SegrePoint(1.0, (e1, e1))
+        point = dense.point(1.0, (e1, e1))
         y = tc.outer_rank_one(1.0, [e2, e2])
         prob = Problem(op=IdentityOp((2, 2)), y=y.ravel(), rank=1, truth=None)
         with pytest.raises(SolverError) as exc_info:
-            run(prob, SolverConfig(method="rgn", max_iters=5), CPModel((point,)))
+            run(prob, SolverConfig(method="rgn", max_iters=5), point)
         assert exc_info.value.trace is not None
         assert len(exc_info.value.trace.records) >= 1
 
@@ -502,24 +500,25 @@ class TestRun:
     @pytest.mark.parametrize("method", ["rgd", "rgn", "als"])
     def test_no_segre_point_per_iteration(self, monkeypatch, method, preset, gauss_seidel):
         # the steps and the retraction work on the factor matrices: without a
-        # truth to score against, an iteration builds no SegrePoint
+        # truth to score against, an iteration calls none of the single-point
+        # functions, which take or return one rank-one tensor as a rank-1 model
+        import segreopt.manifold as manifold
+        import segreopt.solvers as solvers
+
         cfg, prob, init = smoke_start(preset)
         prob = Problem(prob.op, prob.y, prob.rank, truth=None)
-        built = []
-        post_init = SegrePoint.__post_init__
-
-        def counted(point):
-            built.append(1)
-            post_init(point)
-
-        monkeypatch.setattr(SegrePoint, "__post_init__", counted)
+        calls = []
+        for module, name in ((manifold, "_point_factors"), (solvers, "_point_factors"),
+                             (manifold, "retract_thosvd")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, fn=fn: calls.append(1) or fn(*args))
         counts = []
         for k in (0, 4):
-            built.clear()
+            calls.clear()
             _, trace = run(prob, SolverConfig(method=method, step_size=cfg.step_size, max_iters=k,
                                               stop_tol=1e-300, gauss_seidel=gauss_seidel), init)
             assert len(trace.records) == k + 1
-            counts.append(len(built))
+            counts.append(len(calls))
         assert counts[1] == counts[0]
 
     @pytest.mark.parametrize("gauss_seidel", [False, True])
@@ -540,7 +539,7 @@ class TestRun:
         rng = np.random.default_rng(17)
         truth = orthogonal_model(rng, (4, 4, 4), 2, [2.0, 1.0])
         prob = identity_problem(truth)
-        bad_init = CPModel(truth.components[:1])
+        bad_init = dense.columns(truth)[0]
         for method in ("rgd", "rgn", "als"):
             with pytest.raises(ValueError, match="init rank"):
                 run(prob, SolverConfig(method=method), bad_init)
@@ -590,13 +589,13 @@ class TestTwoPhaseCoherent:
 
         def perturb_factors(model, sigma, rng):
             comps = []
-            for c in model.components:
+            for c in dense.columns(model):
                 us = []
                 for u in c.factors:
-                    v = u + sigma * rng.standard_normal(u.size)
+                    v = u[:, 0] + sigma * rng.standard_normal(u.shape[0])
                     us.append(v / np.linalg.norm(v))
-                comps.append(SegrePoint(c.weight, tuple(us)))
-            return CPModel(tuple(comps))
+                comps.append(dense.point(c.weights[0], us))
+            return dense.stack(comps)
 
         upper_all, lower_all = [], []
         d = 3
@@ -645,4 +644,4 @@ def test_negative_iteration_count_rejected(make, field):
 
 
 def _unit_model(shape):
-    return CPModel((SegrePoint(1.0, tuple(np.eye(p)[0] for p in shape)),))
+    return dense.point(1.0, [np.eye(p)[0] for p in shape])
