@@ -54,7 +54,11 @@ def _env_overrides() -> dict:
 def _load_base(args) -> dict:
     if args.config:
         with open(args.config) as fh:
-            return json.load(fh)
+            base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ValueError(f"{args.config}: the top level must be a JSON object, "
+                             f"got {type(base).__name__}")
+        return base
     if args.preset:
         return load_preset(args.preset)
     raise SystemExit("one of --preset or --config is required "

@@ -7,7 +7,10 @@ Each method is a step function from one :class:`SolverState` to the next:
 guard and the trace.  RGD and RGN update the factor matrices in column
 blocks: one block of every component, fitted from the residual frozen at
 iteration start (Jacobi style), or under ``gauss_seidel`` one block per
-component, fitted against the components updated before it.
+component, fitted against the components updated before it.  RGN fits a
+block jointly, so under Jacobi its step is Gauss-Newton on the product of
+the components' manifolds, and it keeps a step only if the residual norm
+does not rise, halving it toward the start otherwise.
 """
 
 from __future__ import annotations
@@ -126,16 +129,22 @@ def _blocks(rank: int, gauss_seidel: bool) -> list[slice]:
     return [slice(i, i + 1) for i in range(rank)] if gauss_seidel else [slice(0, rank)]
 
 
+def _retract(weights: np.ndarray, factors: list[np.ndarray] | tuple[np.ndarray, ...],
+             directions: list[np.ndarray], first: int = 0) -> CPModel:
+    """:func:`retract_factored`, with a degenerate column a :class:`SolverError`
+    naming its component, ``first`` plus the column."""
+    try:
+        return retract_factored(weights, factors, directions)
+    except DegenerateInputError as exc:
+        i = first + exc.column
+        raise SolverError(f"update of component {i} failed: {exc}", component=i) from exc
+
+
 def _update(weights: np.ndarray, factors: list[np.ndarray], cols: slice, block_weights: np.ndarray,
              directions: list[np.ndarray]) -> CPModel:
-    """:func:`retract_factored` of the block ``cols``, whose columns of ``factors`` still
-    hold the starting factors, written into ``weights`` and ``factors`` and returned;
-    a degenerate column is a :class:`SolverError` naming its component."""
-    try:
-        new = retract_factored(block_weights, [u[:, cols] for u in factors], directions)
-    except DegenerateInputError as exc:
-        i = cols.start + exc.column
-        raise SolverError(f"update of component {i} failed: {exc}", component=i) from exc
+    """:func:`_retract` of the block ``cols``, whose columns of ``factors`` still
+    hold the starting factors, written into ``weights`` and ``factors`` and returned."""
+    new = _retract(block_weights, [u[:, cols] for u in factors], directions, cols.start)
     weights[cols] = new.weights
     for u, v in zip(factors, new.factors):
         u[:, cols] = v
@@ -160,47 +169,71 @@ def rgd_step(state: SolverState, problem: Problem, alpha: float,
     return SolverState(model, state.iteration + 1, _residual(problem, model))
 
 
-def _fit_tangent(vs: list[np.ndarray], i: int, factors: tuple[np.ndarray, ...],
-                 rhs: np.ndarray, pinv_tol: float) -> tuple[float, list[np.ndarray]]:
-    """Least-squares fit of ``rhs`` over the tangent space at the point with
-    unit factors ``factors``, whose design contractions are column ``i`` of
-    the per-mode contractions ``vs`` of :func:`batched_contract_all_but`.
+def _fit_tangent(vs: list[np.ndarray], cols: slice, factors: tuple[np.ndarray, ...],
+                 rhs: np.ndarray, pinv_tol: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Joint least-squares fit of ``rhs`` over the sum of the tangent spaces
+    at the points ``cols``: column ``i`` of the unit factor matrices
+    ``factors`` is point ``i``, and column ``i`` of the per-mode contractions
+    ``vs`` of :func:`batched_contract_all_but` holds its design contractions.
 
-    The unknowns are the core and one full direction ``h_k`` per mode.  The
-    normal system is projected by ``blockdiag(1, I - u_k u_k^T)``, so each
-    ``u_k`` is a null direction that the minimum-norm eigen-solve drops and
-    every ``h_k`` comes out orthogonal to its ``u_k``.  Eigenvalues below
-    ``pinv_tol`` times the largest are dropped; keeping fewer than the
-    tangent dimension is flagged.  Returns the core and the ``h_k``.
+    The unknowns are every point's core and one full direction ``h_k`` per
+    mode, so the fit is one Gauss-Newton system over the whole block,
+    cross-point terms included.  The normal system is projected by
+    ``blockdiag(1, I - u_k u_k^T)`` per point, so each ``u_k`` is a null
+    direction.  Its solution is the minimum-norm one with eigenvalues below
+    ``pinv_tol`` times the largest dropped, and keeping fewer than the
+    tangent dimension ``|cols| (1 + sum(p_k - 1))`` is flagged.  When a
+    Cholesky factorization certifies every eigenvalue of the tangent part
+    above ``pinv_tol`` times the trace, none is dropped, and the system,
+    with the null directions filled in, is solved directly instead.  Every
+    ``h_k`` is re-projected onto the complement of its ``u_k``.  Returns the
+    cores and one ``p_k x |cols|`` direction matrix per mode.
     """
-    design = np.column_stack([vs[0][:, :, i] @ factors[0]] + [v[:, :, i] for v in vs])
-    ends = np.cumsum([1] + [u.size for u in factors])
-    proj = np.eye(ends[-1])
-    for u, lo, hi in zip(factors, ends[:-1], ends[1:]):
-        proj[lo:hi, lo:hi] -= np.outer(u, u)
-    gram = proj @ (design.T @ design) @ proj
-    b = proj @ (design.T @ rhs)
-    evals, evecs = np.linalg.eigh(gram)
-    keep = evals > pinv_tol * max(evals[-1], 0.0)
-    kept = int(np.count_nonzero(keep))
-    df = ends[-1] - len(factors)
-    if kept == 0:
-        logger.warning("tangent normal system is numerically zero; returning zero update")
-    elif kept < df:
-        logger.warning("tangent normal system rank-deficient (%d/%d kept); minimum-norm solution",
-                       kept, df)
-    x = evecs[:, keep] @ ((evecs[:, keep].T @ b) / evals[keep])
-    return float(x[0]), [x[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])]
+    us = [u[:, cols] for u in factors]
+    n, b = rhs.size, us[0].shape[1]
+    # unknowns: the cores, then mode by mode h_k as a p_k x b matrix in C order
+    core = np.einsum("mai,ai->mi", vs[0][:, :, cols], us[0])
+    design = np.concatenate([core] + [v[:, :, cols].reshape(n, -1) for v in vs], axis=1)
+    ends = np.cumsum([b] + [u.size for u in us])
+    # orthonormal columns, one per mode and point: its u_k in the place of its h_k
+    null = np.zeros((ends[-1], len(us) * b))
+    points = np.arange(b)
+    for k, (u, lo) in enumerate(zip(us, ends[:-1])):
+        null[lo + b * np.arange(u.shape[0])[:, None] + points, k * b + points] = u
+    gram = design.T @ design
+    gram -= null @ (null.T @ gram)
+    gram -= (gram @ null) @ null.T
+    jtr = design.T @ rhs
+    jtr -= null @ (null.T @ jtr)
+    df = ends[-1] - null.shape[1]
+    scale = np.trace(gram)
+    # the null directions get the mean tangent eigenvalue instead of 0
+    filled = gram + (scale / df) * (null @ null.T)
+    try:
+        np.linalg.cholesky(filled - pinv_tol * scale * np.eye(ends[-1]))
+        x = np.linalg.solve(filled, jtr)
+    except np.linalg.LinAlgError:
+        evals, evecs = np.linalg.eigh(gram)
+        keep = evals > pinv_tol * max(evals[-1], 0.0)
+        kept = int(np.count_nonzero(keep))
+        if kept == 0:
+            logger.warning("tangent normal system is numerically zero; returning zero update")
+        elif kept < df:
+            logger.warning("tangent normal system rank-deficient (%d/%d kept); "
+                           "minimum-norm solution", kept, df)
+        x = evecs[:, keep] @ ((evecs[:, keep].T @ jtr) / evals[keep])
+    hs = [x[lo:hi].reshape(u.shape) for u, lo, hi in zip(us, ends[:-1], ends[1:])]
+    return x[:b], [h - u * np.einsum("ai,ai->i", u, h) for u, h in zip(us, hs)]
 
 
 def solve_tangent_ls(point: CPModel, op: MeasurementOp, rhs: np.ndarray,
                      pinv_tol: float = 1e-10) -> np.ndarray:
     """Least-squares fit of ``rhs`` over the tangent space at the rank-1 model ``point``.
 
-    Returns the ambient tangent tensor minimizing ``||rhs - op(xi)||``, from
-    the normal equations solved by pseudo-inverse with eigenvalues below
-    ``pinv_tol`` times the largest dropped (see :func:`_fit_tangent`).  A
-    rank-deficient system is flagged and the minimum-norm solution returned.
+    Returns the ambient tangent tensor minimizing ``||rhs - op(xi)||``: the
+    one-point fit of :func:`_fit_tangent`, whose normal equations keep only
+    eigenvalues above ``pinv_tol`` times the largest.  A rank-deficient
+    system is flagged and the minimum-norm solution returned.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (op.output_dim,):
@@ -210,8 +243,8 @@ def solve_tangent_ls(point: CPModel, op: MeasurementOp, rhs: np.ndarray,
         return project_tangent(point, rhs.reshape(op.shape))
     us = _point_factors(point)
     vs = batched_contract_all_but(op.designs, point.factors, range(len(us)))
-    core, hs = _fit_tangent(vs, 0, us, rhs, pinv_tol)
-    return embed_tangent(core, us, hs)
+    cores, hs = _fit_tangent(vs, slice(0, 1), point.factors, rhs, pinv_tol)
+    return embed_tangent(float(cores[0]), us, [h[:, 0] for h in hs])
 
 
 def _applied(vs: list[np.ndarray], factors0: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -220,10 +253,26 @@ def _applied(vs: list[np.ndarray], factors0: np.ndarray, weights: np.ndarray) ->
     return np.einsum("mai,ai->im", vs[0], factors0) * weights[:, None]
 
 
+# A trial step is accepted when its residual norm is at most this factor
+# times the starting one, and halved toward the start at most this often.
+_ACCEPT_RISE = 1.0 + 1e-12
+_MAX_HALVINGS = 5
+
+
 def rgn_step(state: SolverState, problem: Problem, pinv_tol: float = 1e-10,
              gauss_seidel: bool = False) -> SolverState:
-    """One Gauss-Newton step: each component is replaced by the retracted
-    tangent-space least-squares fit of its leave-one-out residual."""
+    """One Gauss-Newton step on the product of the components' manifolds.
+
+    Under Jacobi the one block of all components is fitted jointly to the
+    observations (:func:`_fit_tangent`): the Gauss-Newton step.  Under
+    ``gauss_seidel`` each component in turn is fitted to its leave-one-out
+    residual, with the images of those updated before it refreshed.  The
+    fits are retracted, and a trial whose residual norm rises is halved
+    toward the start (core ``w + a (c - w)``, directions ``a h_k``) up to
+    ``_MAX_HALVINGS`` times; if none is accepted the start is returned
+    unchanged, and the stall rule of :func:`run` ends the run.  Each trial
+    is one pass over the designs, which also yields the next step's
+    contractions."""
     op = problem.op
     if isinstance(op, IdentityOp):
         # With full observations the Gauss-Newton step coincides with a unit
@@ -240,21 +289,30 @@ def rgn_step(state: SolverState, problem: Problem, pinv_tol: float = 1e-10,
         vs = batched_contract_all_but(op.designs, start.factors, range(d))
     applied = _applied(vs, start.factors[0], start.weights)
     weights, factors = start.weights.copy(), [u.copy() for u in start.factors]
+    cores, hs = np.empty_like(weights), [np.empty_like(u) for u in factors]
     for cols in _blocks(start.rank, gauss_seidel):
         if cols.start > 0:
             # Gauss-Seidel: the image of the one component just updated
             applied[cols.start - 1] = op.apply(new.embed())
-        total = applied.sum(axis=0)
-        cores, hs = zip(*(_fit_tangent(vs, i, tuple(u[:, i] for u in start.factors),
-                                       problem.y - (total - applied[i]), pinv_tol)
-                          for i in range(cols.start, cols.stop)))
-        new = _update(weights, factors, cols, np.array(cores), [np.column_stack(h) for h in zip(*hs)])
+        rhs = problem.y - (applied.sum(axis=0) - applied[cols].sum(axis=0))
+        cores[cols], block_hs = _fit_tangent(vs, cols, start.factors, rhs, pinv_tol)
+        for h, block_h in zip(hs, block_hs):
+            h[:, cols] = block_h
+        new = _update(weights, factors, cols, cores[cols], block_hs)
     model = CPModel._of(weights, factors)
-    # one pass at the new factors gives the residual now and the next
-    # iteration's design matrices
-    vs = batched_contract_all_but(op.designs, model.factors, range(d))
-    residual = problem.y - _applied(vs, model.factors[0], model.weights).sum(axis=0)
-    return SolverState(model, state.iteration + 1, residual, vs)
+    bound = _ACCEPT_RISE * np.linalg.norm(state.residual)
+    for halvings in range(_MAX_HALVINGS + 1):
+        if halvings:
+            a = 0.5**halvings
+            model = _retract(start.weights + a * (cores - start.weights), start.factors,
+                             [a * h for h in hs])
+        # one pass at the trial factors gives its residual and the next
+        # iteration's design matrices
+        trial = batched_contract_all_but(op.designs, model.factors, range(d))
+        residual = problem.y - _applied(trial, model.factors[0], model.weights).sum(axis=0)
+        if np.linalg.norm(residual) <= bound:
+            return SolverState(model, state.iteration + 1, residual, trial)
+    return SolverState(start, state.iteration + 1, state.residual, vs)
 
 
 @dataclass(frozen=True)

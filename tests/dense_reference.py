@@ -11,7 +11,7 @@ from functools import reduce
 
 import numpy as np
 
-from segreopt.manifold import CPModel, embed_tangent, retract_thosvd
+from segreopt.manifold import CPModel, embed_tangent, retract_thosvd, tangent_basis
 from segreopt.tensor import fro_norm
 
 
@@ -63,6 +63,21 @@ def retract_columns(weights, factors, directions) -> list[CPModel]:
     return [retract_thosvd(embed_tangent(float(w), tuple(u[:, i] for u in factors),
                                          [h[:, i] for h in directions]))
             for i, w in enumerate(weights)]
+
+
+def joint_tangent_fit(model: CPModel, designs: np.ndarray, rhs: np.ndarray) -> list[np.ndarray]:
+    """Least-squares fit of ``rhs`` over the sum of the tangent spaces of every
+    component of ``model``, observed through the inner products with
+    ``designs``: ``lstsq`` on the stacked dense ``tangent_basis`` of all
+    components (minimum-norm when they overlap).  Returns one ambient
+    tangent tensor per component."""
+    bases = [tangent_basis(c).vectors for c in columns(model)]
+    flat = np.concatenate([v.reshape(len(v), -1) for v in bases])
+    n = designs.shape[0]
+    coords = np.linalg.lstsq(designs.reshape(n, -1) @ flat.T, rhs, rcond=None)[0]
+    ends = np.cumsum([0] + [len(v) for v in bases])
+    return [np.tensordot(coords[lo:hi], v, axes=1)
+            for v, lo, hi in zip(bases, ends[:-1], ends[1:])]
 
 
 def _factor_inner(a: CPModel, b: CPModel) -> float:

@@ -79,8 +79,12 @@ def test_missing_preset_and_config_errors(tmp_path):
     ({"SEGREOPT_KAPPA": "inf"}, ["decompose", "--preset", "smoke-decompose"]),
     ({}, ["decompose", "--config", "{string_rank}"]),
     ({}, ["decompose", "--config", "{string_flag}"]),
+    ({}, ["decompose", "--config", "{list_top}"]),
+    ({}, ["decompose", "--config", "{number_top}"]),
+    ({}, ["bench", "--config", "{string_top}"]),
 ], ids=["env-rho", "env-seed", "bench-replicates", "missing-config", "bad-json-config",
-        "env-noise-nan", "env-kappa-inf", "string-rank-config", "string-flag-config"])
+        "env-noise-nan", "env-kappa-inf", "string-rank-config", "string-flag-config",
+        "list-config", "number-config", "string-config"])
 def test_bad_configuration_ends_in_error_line(tmp_path, monkeypatch, capsys, env, argv):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
@@ -92,11 +96,18 @@ def test_bad_configuration_ends_in_error_line(tmp_path, monkeypatch, capsys, env
         paths[name] = str(tmp_path / f"{name}.json")
         with open(paths[name], "w") as fh:
             json.dump({"dims": [4, 4, 4], "replicates": 1, "max_iters": 1, **field}, fh)
+    # valid JSON whose top level is not an object: once a raw TypeError
+    for name, value in (("list_top", [1, 2]), ("number_top", 5), ("string_top", "x")):
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(value, fh)
     out = tmp_path / "out"
     rc = main([a.format(**paths) for a in argv] + ["--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    if "_top" in argv[-1]:
+        assert "must be a JSON object" in err and paths[argv[-1][1:-1]] in err
     assert not out.exists()
 
 

@@ -6,10 +6,14 @@ the first few of those replicates and fails when a final ``rel_fro_err`` or
 ``max_comp_err`` exceeds 1.05 times its record (on the noiseless workload,
 when it is above 1e-10 as well), or when a solve fails.  This runs the same
 replicates through ``run_experiment`` and applies the same check, so a change
-that would fail the benchmark on them fails here first.
+that would fail the benchmark on them fails here first.  A run then adds
+replicates of other seeds, which have no record; on a noisy workload each
+must end finite and below its initial error, which is checked here on
+regress-base RGN for two such seeds.
 """
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,3 +48,14 @@ def test_calibration_replicates_meet_the_reference(workload):
                     misses.append(f"{method} replicate {rep}: {key} {value:.6e} "
                                   f"against the record {record:.6e}")
     assert not misses, "; ".join(misses)
+
+
+@pytest.mark.parametrize("seed", [1, 424242])
+def test_unrecorded_regress_base_replicate_ends_below_its_start(seed):
+    cfg = replace(config_from_preset("regress-base"), methods=("rgn",), replicates=1, seed=seed)
+    summary = run_experiment(cfg)
+    assert summary.failures == []
+    records = summary.traces["rgn"][0].records
+    final = records[-1]
+    assert all(math.isfinite(v) for v in (final.rel_fro_err, final.max_comp_err, final.residual))
+    assert final.rel_fro_err < records[0].rel_fro_err

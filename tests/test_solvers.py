@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_reference as dense
 
@@ -12,9 +14,11 @@ from segreopt.initialization import InitSpec, init_decomposition, init_regressio
 from segreopt.manifold import (
     CPModel,
     align_and_error,
+    embed_tangent,
     project_tangent,
     retract_thosvd,
     tangent_basis,
+    tangent_dim,
 )
 from segreopt.operators import GaussianDesignOp, IdentityOp
 from segreopt.solvers import (
@@ -22,6 +26,7 @@ from segreopt.solvers import (
     SolverConfig,
     SolverError,
     SolverState,
+    _fit_tangent,
     rgd_step,
     rgn_step,
     run,
@@ -65,6 +70,17 @@ def smoke_start(preset):
     else:
         start = init_regression(prob.op, prob.y, cfg.rank, cfg.cpca_split)
     return cfg, prob, start
+
+
+def unit_columns(m):
+    return m / np.linalg.norm(m, axis=0)
+
+
+def assert_orthogonal(factors, directions):
+    """Every column of every direction matrix is orthogonal to its factor to 1e-14 relative."""
+    for u, h in zip(factors, directions, strict=True):
+        along = np.abs(np.einsum("ai,ai->i", u, h))
+        assert np.all(along <= 1e-14 * np.linalg.norm(h, axis=0))
 
 
 def identity_problem(model, noise=None):
@@ -286,28 +302,36 @@ class TestRgnStep:
         assert np.median(ratios) <= 20.0
 
     def test_regression_matches_per_component_formulation(self):
-        # one step equals fitting each component's leave-one-out residual on
-        # its own tangent space, then retracting, with the operator images
-        # refreshed after each component under Gauss-Seidel
+        # under Jacobi one step retracts, component by component, the joint
+        # least-squares fit of y over the sum of every component's tangent
+        # space (the dense oracle); under Gauss-Seidel it equals fitting each
+        # component's leave-one-out residual on its own tangent space, then
+        # retracting, with the operator images refreshed after each component
         cfg = config_from_preset("smoke-regress")
         prob = gen_instance(cfg, 0)
         op = prob.op
         start = init_regression(op, prob.y, cfg.rank, cfg.cpca_split)
-        for gauss_seidel in (False, True):
-            got = rgn_step(SolverState.initial(prob, start), prob, gauss_seidel=gauss_seidel)
-            fresh = prob.y - op.apply(got.model.embed())
-            assert np.linalg.norm(got.residual - fresh) <= 1e-12 * np.linalg.norm(fresh)
-            applied = [op.apply(c.embed()) for c in dense.columns(start)]
-            total = np.sum(applied, axis=0)
-            for i, point in enumerate(dense.columns(start)):
-                rhs = prob.y - (total - applied[i])
-                expected = retract_thosvd(solve_tangent_ls(point, op, rhs)).embed()
-                assert tc.fro_norm(dense.columns(got.model)[i].embed() - expected) <= (
-                    1e-12 * tc.fro_norm(expected))
-                if gauss_seidel:
-                    new = op.apply(expected)
-                    total += new - applied[i]
-                    applied[i] = new
+        got = rgn_step(SolverState.initial(prob, start), prob)
+        fresh = prob.y - op.apply(got.model.embed())
+        assert np.linalg.norm(got.residual - fresh) <= 1e-12 * np.linalg.norm(fresh)
+        for xi, comp in zip(dense.joint_tangent_fit(start, op.designs, prob.y),
+                            dense.columns(got.model), strict=True):
+            expected = retract_thosvd(xi).embed()
+            assert tc.fro_norm(comp.embed() - expected) <= 1e-10 * tc.fro_norm(expected)
+
+        got = rgn_step(SolverState.initial(prob, start), prob, gauss_seidel=True)
+        fresh = prob.y - op.apply(got.model.embed())
+        assert np.linalg.norm(got.residual - fresh) <= 1e-12 * np.linalg.norm(fresh)
+        applied = [op.apply(c.embed()) for c in dense.columns(start)]
+        total = np.sum(applied, axis=0)
+        for i, point in enumerate(dense.columns(start)):
+            rhs = prob.y - (total - applied[i])
+            expected = retract_thosvd(solve_tangent_ls(point, op, rhs)).embed()
+            assert tc.fro_norm(dense.columns(got.model)[i].embed() - expected) <= (
+                1e-12 * tc.fro_norm(expected))
+            new = op.apply(expected)
+            total += new - applied[i]
+            applied[i] = new
 
     @pytest.mark.parametrize("gauss_seidel", [False, True])
     def test_full_rank_fit_logs_no_warning(self, gauss_seidel, caplog):
@@ -352,6 +376,110 @@ class TestRgnStep:
         with pytest.raises(SolverError) as exc_info:
             rgn_step(state, prob)
         assert exc_info.value.component == 0
+
+
+class TestJointTangentFit:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.lists(st.integers(2, 6), min_size=2, max_size=4),
+           r=st.integers(1, 3),
+           extra=st.integers(0, 10))
+    def test_matches_dense_oracle(self, seed, shape, r, extra):
+        # the fit over all components at once, cross-component terms
+        # included; where their tangent spaces overlap (small shapes, r = 3)
+        # both sides take the minimum-norm split
+        shape = tuple(shape)
+        rng = np.random.default_rng(seed)
+        n = 3 * r * tangent_dim(shape) + extra
+        op = GaussianDesignOp.from_raw(rng.standard_normal((n,) + shape))
+        model = CPModel.from_factors(rng.uniform(1.0, 3.0, r),
+                                     [unit_columns(rng.standard_normal((p, r))) for p in shape])
+        rhs = rng.standard_normal(n)
+        vs = tc.batched_contract_all_but(op.designs, model.factors, range(len(shape)))
+        cores, hs = _fit_tangent(vs, slice(0, r), model.factors, rhs, 1e-10)
+        assert_orthogonal(model.factors, hs)
+        oracle = dense.joint_tangent_fit(model, op.designs, rhs)
+        scale = np.sqrt(sum(tc.fro_norm(xi) ** 2 for xi in oracle))
+        for i, xi in enumerate(oracle):
+            got = embed_tangent(float(cores[i]), tuple(u[:, i] for u in model.factors),
+                                [h[:, i] for h in hs])
+            assert tc.fro_norm(got - xi) <= 1e-9 * scale
+
+
+def rejecting_state():
+    """A small noisy regression one Jacobi step past its adjoint-CPCA start,
+    where the next full Gauss-Newton step raises the residual and is halved
+    twice before one is accepted."""
+    cfg = ExperimentConfig(task="regress", dims=(6, 6, 6), rank=3, noise_sd=1.0, seed=21)
+    prob = gen_instance(cfg, 0)
+    start = init_regression(prob.op, prob.y, cfg.rank, cfg.cpca_split)
+    return prob, rgn_step(SolverState.initial(prob, start), prob)
+
+
+class TestRgnSafeguard:
+    def test_halvings_one_pass_each_and_carried_state(self, monkeypatch):
+        import segreopt.solvers as solvers
+
+        prob, state = rejecting_state()
+        kernel = tc.batched_contract_all_but
+        calls = {"kernel": 0, "retract": []}
+
+        def counted(*args):
+            calls["kernel"] += 1
+            return kernel(*args)
+
+        def recorded(weights, factors, directions):
+            # copies: the step writes the new factors over views of the old
+            calls["retract"].append(([u.copy() for u in factors], directions))
+            return retract(weights, factors, directions)
+
+        retract = solvers.retract_factored
+        monkeypatch.setattr(solvers, "batched_contract_all_but", counted)
+        monkeypatch.setattr(solvers, "retract_factored", recorded)
+        out = rgn_step(state, prob)
+        # the full step and every halving: one retraction and one pass each
+        trials = len(calls["retract"])
+        assert trials == 3
+        assert calls["kernel"] == trials
+        for factors, directions in calls["retract"]:
+            assert_orthogonal(factors, directions)
+        assert np.linalg.norm(out.residual) <= np.linalg.norm(state.residual)
+        fresh = prob.y - prob.op.apply(out.model.embed())
+        assert np.linalg.norm(out.residual - fresh) <= 1e-12 * np.linalg.norm(fresh)
+        # the contractions carried are those of the accepted trial
+        monkeypatch.undo()
+        expected = tc.batched_contract_all_but(prob.op.designs, out.model.factors, range(3))
+        for got, want in zip(out.contractions, expected, strict=True):
+            assert np.array_equal(got, want)
+
+    def test_residual_never_rises(self):
+        prob, state = rejecting_state()
+        _, trace = run(prob, SolverConfig(method="rgn", max_iters=30), state.model)
+        res = trace.column("residual")
+        assert np.all(res[1:] <= (1 + 1e-12) * res[:-1])
+
+
+class TestRegressionQuadraticPhase:
+    def test_jacobi_rgn_converges_quadratically(self):
+        # the paper's local quadratic phase, in noiseless regression: from a
+        # start inside the basin, the joint Gauss-Newton step reaches
+        # round-off within 6 iterations, at a log-log error slope near 2
+        cfg = ExperimentConfig(task="regress", dims=(10, 10, 10), rank=3, noise_sd=0.0, seed=7)
+        slopes = []
+        for rep in range(10):
+            prob = gen_instance(cfg, rep)
+            truth = prob.truth
+            rng = np.random.default_rng(rep)
+            init = CPModel.from_factors(1.02 * truth.weights, [
+                unit_columns(u + 0.03 * rng.standard_normal(u.shape)) for u in truth.factors])
+            _, trace = run(prob, SolverConfig(method="rgn", max_iters=6), init)
+            eps = trace.column("rel_fro_err")
+            assert eps.min() <= 1e-12, f"replicate {rep}: {eps}"
+            pairs = [(eps[t], eps[t + 1]) for t in range(len(eps) - 1)
+                     if 1e-8 <= eps[t] <= 1e-1 and eps[t + 1] > 0]
+            x, y = np.log(pairs).T
+            slopes.append(np.polyfit(x, y, 1)[0])
+        assert np.median(slopes) >= 1.8, slopes
 
 
 class TestRun:
