@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field, fields
 from importlib import resources
@@ -30,28 +29,17 @@ from .initialization import (INIT_METHODS, InitSpec, init_decomposition, init_re
 from .manifold import CPModel, DegenerateInputError, align_and_error, incoherence
 from .operators import GaussianDesignOp, IdentityOp
 from .rng import substream, substream_seed
-from .solvers import METHODS, ConvergenceTrace, Problem, SolverConfig, SolverError, run
-
-
-def _is_integer(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+from .solvers import (METHODS, ConvergenceTrace, Problem, SolverConfig, SolverError, _is_integer,
+                      _is_real, run)
 
 
 def _is_string(v) -> bool:
     return isinstance(v, str)
 
 
-def _is_bool(v) -> bool:
-    return isinstance(v, bool)
-
-
-# The type of value each ExperimentConfig field takes, as a test and its name.
-# A list field takes a list of such values, and a field whose default is None
-# may also be None.
+# The type of value each ExperimentConfig field takes, as a test and its name,
+# except the solver fields, which SolverConfig checks.  A list field takes a
+# list of such values, and a field whose default is None may also be None.
 _FIELD_TYPES = {
     "task": (_is_string, "a string"),
     "dims": (_is_integer, "integers"),
@@ -67,11 +55,6 @@ _FIELD_TYPES = {
     "cpca_split": (_is_integer, "integers"),
     "replicates": (_is_integer, "an integer"),
     "seed": (_is_integer, "an integer"),
-    "max_iters": (_is_integer, "an integer"),
-    "step_size": (_is_real, "a real number"),
-    "stop_tol": (_is_real, "a real number"),
-    "pinv_tol": (_is_real, "a real number"),
-    "gauss_seidel": (_is_bool, "a bool"),
 }
 _LIST_FIELDS = ("dims", "methods", "cpca_split")
 
@@ -102,6 +85,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in fields(self):
+            if f.name not in _FIELD_TYPES:
+                continue
             test, kind = _FIELD_TYPES[f.name]
             v = getattr(self, f.name)
             if v is None and f.default is None:
@@ -330,8 +315,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None =
     When ``out_dir`` is given, writes ``trace_<method>_<rep>.csv`` per run,
     ``aggregate.csv``, and ``manifest.json``.  Solver failures are recorded
     and skipped, and so is a replicate whose initialization degenerates (as a
-    failure of every method, with a NaN initial error); a method failing on
-    all replicates raises ``SolverError``.
+    failure of every method, with a NaN initial error); a method with a
+    recorded failure on every replicate raises ``SolverError``, after the
+    outputs are written.
     """
     summary = ReplicateSummary(config=config, traces={m: [] for m in config.methods})
 
@@ -358,11 +344,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None =
                 fail(method, rep, exc.component, str(exc))
                 trace = exc.trace
             summary.traces[method].append(trace)
-    for method in config.methods:
-        if all(t is None or not t.records for t in summary.traces[method]):
-            raise SolverError(f"method {method!r} failed on every replicate")
     if out_dir is not None:
         write_outputs(summary, out_dir)
+    for method in config.methods:
+        failed = {f["replicate"] for f in summary.failures if f["method"] == method}
+        if len(failed) == config.replicates:
+            raise SolverError(f"method {method!r} failed on every replicate")
     return summary
 
 

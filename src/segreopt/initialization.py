@@ -124,6 +124,8 @@ def cpca(t: np.ndarray, r: int, split: tuple[int, ...] | None = None) -> CPModel
     Components are ordered by descending absolute weight.
     """
     t = check_tensor(t)
+    if not np.all(np.isfinite(t)):
+        raise DegenerateInputError("cannot run spectral initialization on a non-finite tensor")
     if fro_norm(t) == 0.0:
         raise DegenerateInputError("cannot run spectral initialization on the zero tensor")
     d = t.ndim

@@ -7,10 +7,10 @@ Each method is a step function from one :class:`SolverState` to the next:
 guard and the trace.  RGD and RGN update the factor matrices in column
 blocks: one block of every component, fitted from the residual frozen at
 iteration start (Jacobi style), or under ``gauss_seidel`` one block per
-component, fitted against the components updated before it.  RGN fits a
-block jointly, so under Jacobi its step is Gauss-Newton on the product of
-the components' manifolds, and it keeps a step only if the residual norm
-does not rise, halving it toward the start otherwise.
+component, fitted against the components updated before it.  RGN fits
+each block jointly (under Jacobi, Gauss-Newton on the product of the
+components' manifolds), then retracts each trial step from the start in one
+call, halving it until the residual norm does not rise.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import csv
 import io
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -83,6 +84,18 @@ class Problem:
             raise ValueError("rank must be >= 1")
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_bool(v) -> bool:
+    return isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings of one :func:`run`; ``step_size`` is RGD's constant step, in (0, 1]."""
@@ -95,6 +108,13 @@ class SolverConfig:
     gauss_seidel: bool = False
 
     def __post_init__(self):
+        for name, test, kind in (("step_size", _is_real, "a real number"),
+                                 ("max_iters", _is_integer, "an integer"),
+                                 ("stop_tol", _is_real, "a real number"),
+                                 ("pinv_tol", _is_real, "a real number"),
+                                 ("gauss_seidel", _is_bool, "a bool")):
+            if not test(getattr(self, name)):
+                raise ValueError(f"{name} must be {kind}, got {getattr(self, name)!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if not 0 < self.step_size <= 1:
@@ -140,17 +160,6 @@ def _retract(weights: np.ndarray, factors: list[np.ndarray] | tuple[np.ndarray, 
         raise SolverError(f"update of component {i} failed: {exc}", component=i) from exc
 
 
-def _update(weights: np.ndarray, factors: list[np.ndarray], cols: slice, block_weights: np.ndarray,
-             directions: list[np.ndarray]) -> CPModel:
-    """:func:`_retract` of the block ``cols``, whose columns of ``factors`` still
-    hold the starting factors, written into ``weights`` and ``factors`` and returned."""
-    new = _retract(block_weights, [u[:, cols] for u in factors], directions, cols.start)
-    weights[cols] = new.weights
-    for u, v in zip(factors, new.factors):
-        u[:, cols] = v
-    return new
-
-
 def rgd_step(state: SolverState, problem: Problem, alpha: float,
              gauss_seidel: bool = False) -> SolverState:
     """One gradient step: project the ambient gradient of the squared misfit
@@ -163,8 +172,12 @@ def rgd_step(state: SolverState, problem: Problem, alpha: float,
     for cols in _blocks(start.rank, gauss_seidel):
         residual = (state.residual if cols.start == 0
                     else _residual(problem, CPModel.from_factors(weights, factors)))
-        cores, hs = tangent_parts(op.adjoint(-residual), [u[:, cols] for u in start.factors])
-        _update(weights, factors, cols, weights[cols] - alpha * cores, [-alpha * h for h in hs])
+        us = [u[:, cols] for u in start.factors]
+        cores, hs = tangent_parts(op.adjoint(-residual), us)
+        new = _retract(weights[cols] - alpha * cores, us, [-alpha * h for h in hs], cols.start)
+        weights[cols] = new.weights
+        for u, v in zip(factors, new.factors):
+            u[:, cols] = v
     model = CPModel._of(weights, factors)
     return SolverState(model, state.iteration + 1, _residual(problem, model))
 
@@ -178,13 +191,13 @@ def _fit_tangent(vs: list[np.ndarray], cols: slice, factors: tuple[np.ndarray, .
 
     The unknowns are every point's core and one full direction ``h_k`` per
     mode, so the fit is one Gauss-Newton system over the whole block,
-    cross-point terms included.  The normal system is projected by
-    ``blockdiag(1, I - u_k u_k^T)`` per point, so each ``u_k`` is a null
-    direction.  Its solution is the minimum-norm one with eigenvalues below
-    ``pinv_tol`` times the largest dropped, and keeping fewer than the
-    tangent dimension ``|cols| (1 + sum(p_k - 1))`` is flagged.  When a
-    Cholesky factorization certifies every eigenvalue of the tangent part
-    above ``pinv_tol`` times the trace, none is dropped, and the system,
+    cross-point terms included.  Each ``h_k`` column block of the design is
+    projected onto the complement of its ``u_k`` (``v - (v . u) u^T``), so
+    each ``u_k`` is a null direction.  The solution is the minimum-norm one
+    with eigenvalues below ``pinv_tol`` times the largest dropped, and keeping
+    fewer than the tangent dimension ``|cols| (1 + sum(p_k - 1))`` is flagged.
+    When a Cholesky factorization certifies every eigenvalue of the tangent
+    part above ``pinv_tol`` times the trace, none is dropped, and the system,
     with the null directions filled in, is solved directly instead.  Every
     ``h_k`` is re-projected onto the complement of its ``u_k``.  Returns the
     cores and one ``p_k x |cols|`` direction matrix per mode.
@@ -200,11 +213,10 @@ def _fit_tangent(vs: list[np.ndarray], cols: slice, factors: tuple[np.ndarray, .
     points = np.arange(b)
     for k, (u, lo) in enumerate(zip(us, ends[:-1])):
         null[lo + b * np.arange(u.shape[0])[:, None] + points, k * b + points] = u
+    # v - (v . u) u^T for every h_k column block v, by two thin products
+    design -= (design @ null) @ null.T
     gram = design.T @ design
-    gram -= null @ (null.T @ gram)
-    gram -= (gram @ null) @ null.T
     jtr = design.T @ rhs
-    jtr -= null @ (null.T @ jtr)
     df = ends[-1] - null.shape[1]
     scale = np.trace(gram)
     # the null directions get the mean tangent eigenvalue instead of 0
@@ -263,49 +275,46 @@ def rgn_step(state: SolverState, problem: Problem, pinv_tol: float = 1e-10,
              gauss_seidel: bool = False) -> SolverState:
     """One Gauss-Newton step on the product of the components' manifolds.
 
-    Under Jacobi the one block of all components is fitted jointly to the
-    observations (:func:`_fit_tangent`): the Gauss-Newton step.  Under
-    ``gauss_seidel`` each component in turn is fitted to its leave-one-out
-    residual, with the images of those updated before it refreshed.  The
-    fits are retracted, and a trial whose residual norm rises is halved
-    toward the start (core ``w + a (c - w)``, directions ``a h_k``) up to
-    ``_MAX_HALVINGS`` times; if none is accepted the start is returned
-    unchanged, and the stall rule of :func:`run` ends the run.  Each trial
-    is one pass over the designs, which also yields the next step's
-    contractions."""
+    Fit phase: each block is fitted (:func:`_fit_tangent`) to the
+    observations minus the images of the components outside it: under
+    Jacobi, the one block of all components to the observations (the
+    Gauss-Newton step); under ``gauss_seidel``, one component at a time,
+    with the images of those before it taken at their retractions.  Step
+    phase: the trial with core ``w + a (c - w)`` and directions ``a h_k`` is
+    retracted from the start for ``a = 1, 1/2, ..., 2^-_MAX_HALVINGS``; the
+    first whose residual norm does not rise is kept, else the start is kept
+    and the stall rule of :func:`run` ends the run.  Each trial is one pass
+    over the designs, which also yields the next step's contractions."""
     op = problem.op
     if isinstance(op, IdentityOp):
         # With full observations the Gauss-Newton step coincides with a unit
         # step of gradient descent; share the code path so they match exactly.
         return rgd_step(state, problem, 1.0, gauss_seidel)
     # One pass over the designs (or the contractions the previous step
-    # carried over) yields every component's tangent design matrix and its
-    # image under the operator; under Gauss-Seidel too, since each design
-    # matrix depends only on its own component's starting factors.
+    # carried over) yields every component's tangent design matrix, under
+    # Gauss-Seidel too, since each depends only on its component's start.
     start = state.model
     d = len(start.shape)
     vs = state.contractions
     if vs is None:
         vs = batched_contract_all_but(op.designs, start.factors, range(d))
-    applied = _applied(vs, start.factors[0], start.weights)
-    weights, factors = start.weights.copy(), [u.copy() for u in start.factors]
-    cores, hs = np.empty_like(weights), [np.empty_like(u) for u in factors]
+    # row-major, so every trial's factors are too: the design pass is faster on them
+    cores, hs = np.empty_like(start.weights), [np.empty(u.shape) for u in start.factors]
+    applied = _applied(vs, start.factors[0], start.weights) if gauss_seidel else None
     for cols in _blocks(start.rank, gauss_seidel):
-        if cols.start > 0:
-            # Gauss-Seidel: the image of the one component just updated
-            applied[cols.start - 1] = op.apply(new.embed())
-        rhs = problem.y - (applied.sum(axis=0) - applied[cols].sum(axis=0))
+        rhs = problem.y if applied is None else (
+            problem.y - (applied.sum(axis=0) - applied[cols].sum(axis=0)))
         cores[cols], block_hs = _fit_tangent(vs, cols, start.factors, rhs, pinv_tol)
         for h, block_h in zip(hs, block_hs):
             h[:, cols] = block_h
-        new = _update(weights, factors, cols, cores[cols], block_hs)
-    model = CPModel._of(weights, factors)
+        if cols.stop < start.rank:
+            # Gauss-Seidel: the later components see this one's retraction
+            new = _retract(cores[cols], [u[:, cols] for u in start.factors], block_hs, cols.start)
+            applied[cols] = op.apply(new.embed())
     bound = _ACCEPT_RISE * np.linalg.norm(state.residual)
-    for halvings in range(_MAX_HALVINGS + 1):
-        if halvings:
-            a = 0.5**halvings
-            model = _retract(start.weights + a * (cores - start.weights), start.factors,
-                             [a * h for h in hs])
+    for a in 0.5 ** np.arange(_MAX_HALVINGS + 1):
+        model = _retract(cores if a == 1 else start.weights + a * (cores - start.weights),
+                         start.factors, [a * h for h in hs])
         # one pass at the trial factors gives its residual and the next
         # iteration's design matrices
         trial = batched_contract_all_but(op.designs, model.factors, range(d))

@@ -1,7 +1,8 @@
 """Dense reference implementations, built only from materialized tensors.
 
 These are the textbook forms of kernels the library computes in factored
-form; the tests use them as oracles.  Nothing in ``src/`` imports them.
+form; the tests use them as oracles, next to a few shared model builders.
+Nothing in ``src/`` imports them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,21 @@ from segreopt.tensor import fro_norm
 def point(weight, vectors) -> CPModel:
     """The rank-one tensor ``weight * v_0 ⊗ ... ⊗ v_{d-1}`` of unit vectors, as a rank-1 model."""
     return CPModel.from_factors([weight], [np.asarray(v)[:, None] for v in vectors])
+
+
+def unit_columns(m: np.ndarray) -> np.ndarray:
+    """``m`` with every column scaled to unit norm."""
+    return m / np.linalg.norm(m, axis=0)
+
+
+def orthogonal_model(rng: np.random.Generator, shape, r: int, weights) -> CPModel:
+    """A model whose mode-``k`` factors are the first ``r`` columns of the Q
+    factor of a ``p_k x p_k`` standard normal draw from ``rng``."""
+    mats = []
+    for p in shape:
+        q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        mats.append(q[:, :r])
+    return CPModel.from_factors(weights, mats)
 
 
 def columns(model: CPModel) -> list[CPModel]:

@@ -15,27 +15,15 @@ from segreopt.operators import GaussianDesignOp, IdentityOp
 from segreopt.solvers import Problem, SolverError, SolverState
 
 
-def orthogonal_model(rng, shape, r, weights):
-    mats = []
-    for p in shape:
-        q, _ = np.linalg.qr(rng.standard_normal((p, p)))
-        mats.append(q[:, :r])
-    return CPModel.from_factors(weights, mats)
-
-
-def unit_columns(m):
-    return m / np.linalg.norm(m, axis=0)
-
-
 def perturbed(model, rng, scale=0.3):
     return CPModel.from_factors(model.weights, [
-        unit_columns(u + scale * rng.standard_normal(u.shape)) for u in model.factors])
+        dense.unit_columns(u + scale * rng.standard_normal(u.shape)) for u in model.factors])
 
 
 class TestDecompose:
     def test_rank_one_exact_in_two_sweeps(self):
         rng = np.random.default_rng(0)
-        truth = orthogonal_model(rng, (6, 5, 4), 1, [3.0])
+        truth = dense.orthogonal_model(rng, (6, 5, 4), 1, [3.0])
         y = truth.embed()
         init = init_decomposition(y, 1, InitSpec(method="random", seed=4))
         model, trace = cp_als_decompose(y, 1, init, 2, truth=truth)
@@ -43,13 +31,13 @@ class TestDecompose:
 
     def test_truth_is_fixed_point(self):
         rng = np.random.default_rng(1)
-        truth = orthogonal_model(rng, (5, 4, 3), 2, [3.0, 2.0])
+        truth = dense.orthogonal_model(rng, (5, 4, 3), 2, [3.0, 2.0])
         model, _ = cp_als_decompose(truth.embed(), 2, truth, 3, truth=truth)
         assert align_and_error(model, truth).max_component_error <= 1e-10
 
     def test_zero_sweeps_returns_init(self):
         rng = np.random.default_rng(2)
-        truth = orthogonal_model(rng, (4, 4, 4), 2, [2.0, 1.0])
+        truth = dense.orthogonal_model(rng, (4, 4, 4), 2, [2.0, 1.0])
         init = init_decomposition(truth.embed(), 2, InitSpec(method="random", seed=1))
         model, trace = cp_als_decompose(truth.embed(), 2, init, 0)
         assert len(trace.records) == 1
@@ -57,7 +45,7 @@ class TestDecompose:
 
     def test_loss_nonincreasing(self):
         rng = np.random.default_rng(3)
-        truth = orthogonal_model(rng, (6, 6, 6), 3, [4.0, 3.0, 2.0])
+        truth = dense.orthogonal_model(rng, (6, 6, 6), 3, [4.0, 3.0, 2.0])
         y = truth.embed() + 0.5 * rng.standard_normal(truth.shape)
         init = init_decomposition(y, 3, InitSpec(method="random", seed=2))
         _, trace = cp_als_decompose(y, 3, init, 15, truth=truth)
@@ -66,7 +54,7 @@ class TestDecompose:
 
     def test_stalled_residual_ends_the_sweeps(self):
         rng = np.random.default_rng(3)
-        truth = orthogonal_model(rng, (6, 6, 6), 3, [4.0, 3.0, 2.0])
+        truth = dense.orthogonal_model(rng, (6, 6, 6), 3, [4.0, 3.0, 2.0])
         y = truth.embed() + 0.1 * rng.standard_normal(truth.shape)
         init = init_decomposition(y, 3, InitSpec(method="random", seed=0))
         _, trace = cp_als_decompose(y, 3, init, 50, truth=truth)
@@ -74,7 +62,7 @@ class TestDecompose:
 
     def test_unit_columns_every_sweep(self):
         rng = np.random.default_rng(4)
-        truth = orthogonal_model(rng, (5, 5, 5), 2, [3.0, 1.5])
+        truth = dense.orthogonal_model(rng, (5, 5, 5), 2, [3.0, 1.5])
         y = truth.embed() + 0.1 * rng.standard_normal(truth.shape)
         init = init_decomposition(y, 2, InitSpec(method="random", seed=3))
         model, _ = cp_als_decompose(y, 2, init, 7)
@@ -90,7 +78,7 @@ class TestRegress:
         n = 50 * p_star
         errs = []
         for seed in range(3):
-            truth = orthogonal_model(np.random.default_rng(seed), shape, 2, [3.0, 2.0])
+            truth = dense.orthogonal_model(np.random.default_rng(seed), shape, 2, [3.0, 2.0])
             op = GaussianDesignOp.from_seed(seed, shape, n)
             y = op.apply(truth.embed())
             init = init_decomposition(op.adjoint(y), 2, InitSpec(method="random", seed=seed))
@@ -101,7 +89,7 @@ class TestRegress:
     def test_truth_is_fixed_point(self):
         rng = np.random.default_rng(6)
         shape = (4, 4, 3)
-        truth = orthogonal_model(rng, shape, 2, [2.0, 1.5])
+        truth = dense.orthogonal_model(rng, shape, 2, [2.0, 1.5])
         op = GaussianDesignOp.from_seed(11, shape, 200)
         y = op.apply(truth.embed())
         model, _ = cp_als_regress(op, y, 2, truth, 3, truth=truth)
@@ -110,7 +98,7 @@ class TestRegress:
     def test_zero_sweeps_returns_init(self):
         rng = np.random.default_rng(7)
         shape = (3, 3, 3)
-        truth = orthogonal_model(rng, shape, 1, [2.0])
+        truth = dense.orthogonal_model(rng, shape, 1, [2.0])
         op = GaussianDesignOp.from_seed(12, shape, 60)
         y = op.apply(truth.embed())
         init = init_decomposition(op.adjoint(y), 1, InitSpec(method="random", seed=9))
@@ -132,7 +120,7 @@ class TestRegress:
         rng = np.random.default_rng(seed)
         n = 2 * max(shape) * r + extra
         op = GaussianDesignOp.from_raw(rng.standard_normal((n,) + shape))
-        truth = CPModel.from_factors(rng.uniform(1.0, 3.0, r), [unit_columns(
+        truth = CPModel.from_factors(rng.uniform(1.0, 3.0, r), [dense.unit_columns(
             np.linalg.qr(rng.standard_normal((p, p)))[0][:, :r] if r <= p
             else rng.standard_normal((p, r))) for p in shape])
         y = op.apply(truth.embed()) + 0.1 * rng.standard_normal(n)
@@ -151,7 +139,7 @@ class TestRegress:
         # mode reads the head, never the stack
         rng = np.random.default_rng(9)
         op = GaussianDesignOp.from_seed(14, shape, 80)
-        truth = orthogonal_model(rng, shape, 2, [2.0, 1.0])
+        truth = dense.orthogonal_model(rng, shape, 2, [2.0, 1.0])
         problem = Problem(op, op.apply(truth.embed()), 2)
         calls = []
 
@@ -182,7 +170,7 @@ class TestRegress:
         rng = np.random.default_rng(10)
         shape, r, n = (6, 6, 6), 2, 5
         op = GaussianDesignOp.from_seed(15, shape, n)
-        truth = orthogonal_model(rng, shape, r, [2.0, 1.0])
+        truth = dense.orthogonal_model(rng, shape, r, [2.0, 1.0])
         y = op.apply(truth.embed())
         problem = Problem(op, y, r)
         state = SolverState.initial(problem, perturbed(truth, rng))
@@ -205,7 +193,7 @@ class TestRegress:
         rng = np.random.default_rng(11)
         shape = (4, 3, 3)
         op = GaussianDesignOp.from_seed(16, shape, 30)
-        truth = orthogonal_model(rng, shape, 2, [2.0, 1.0])
+        truth = dense.orthogonal_model(rng, shape, 2, [2.0, 1.0])
         problem = Problem(op, op.apply(truth.embed()), 2)
         solves = []
         solve = np.linalg.solve
@@ -219,7 +207,7 @@ def test_step_residual_matches_the_model(task):
     # the regression sweep reads its residual off the last block solve's fit
     rng = np.random.default_rng(8)
     shape = (5, 4, 3)
-    truth = orthogonal_model(rng, shape, 2, [3.0, 2.0])
+    truth = dense.orthogonal_model(rng, shape, 2, [3.0, 2.0])
     op = IdentityOp(shape) if task == "decompose" else GaussianDesignOp.from_seed(13, shape, 150)
     y = op.apply(truth.embed()) + 0.05 * rng.standard_normal(op.output_dim)
     problem = Problem(op, y, 2)
@@ -236,7 +224,7 @@ def test_step_residual_matches_the_model(task):
 def test_non_finite_observations_rejected(task, bad):
     rng = np.random.default_rng(20)
     shape = (3, 3, 2)
-    init = orthogonal_model(rng, shape, 1, [1.0])
+    init = dense.orthogonal_model(rng, shape, 1, [1.0])
     with pytest.raises(ValueError, match="observations y"):
         if task == "decompose":
             y = rng.standard_normal(shape)

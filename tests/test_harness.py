@@ -212,22 +212,29 @@ class TestRunExperiment:
 
     def test_non_orthogonal_direction_recorded_as_component_failure(self, monkeypatch):
         # a direction h_k with a part along u_k breaks retract_factored's
-        # precondition; the update fails for that component, not the experiment
+        # precondition; the update fails for that component, not the
+        # experiment.  Only the first update is skewed, so replicate 1 runs
+        # and RGD has not failed on every replicate
         import segreopt.harness as hz
         import segreopt.solvers as solvers
 
         real = solvers.tangent_parts
+        calls = []
         def skewed(x, factors):
             cores, hs = real(x, factors)
-            hs[0][:, -1] += factors[0][:, -1]
+            if not calls:
+                hs[0][:, -1] += factors[0][:, -1]
+            calls.append(True)
             return cores, hs
 
         monkeypatch.setattr(solvers, "tangent_parts", skewed)
-        cfg = self._smoke_config(replicates=1, methods=("rgd", "als"))
+        cfg = self._smoke_config(replicates=2, methods=("rgd", "als"))
         s = hz.run_experiment(cfg)
-        assert [(f["method"], f["component"]) for f in s.failures] == [("rgd", cfg.rank - 1)]
+        assert [(f["method"], f["replicate"], f["component"]) for f in s.failures] == [
+            ("rgd", 0, cfg.rank - 1)]
         assert "not unit norm" in s.failures[0]["message"]
         assert len(s.traces["rgd"][0].records) == 1 and len(s.traces["als"][0].records) > 1
+        assert len(s.traces["rgd"][1].records) > 1
 
     def test_divergence_recorded_as_replicate_failure(self, monkeypatch, tmp_path):
         import dataclasses
@@ -313,6 +320,22 @@ class TestRunExperiment:
         cfg = self._smoke_config(replicates=2, methods=("rgn",))
         with pytest.raises(SolverError):
             hz.run_experiment(cfg)
+
+    @pytest.mark.parametrize("overrides", [{"noise_sd": 1e300},
+                                           {"noise_sd": 1e160, "init_refine_sweeps": 1}],
+                             ids=["diverged-at-start", "failed-initialization"])
+    def test_recorded_failures_on_every_replicate_raise_after_writing(self, tmp_path, overrides):
+        # a run that diverges at iteration 0 keeps its row-0 record, so a
+        # failure counts by its entry in failures, not by an empty trace; a
+        # failed initialization raised before too, but wrote no manifest
+        from segreopt.solvers import SolverError
+        cfg = ExperimentConfig(task="decompose", dims=(4, 4, 4), rank=2, replicates=1,
+                               max_iters=3, methods=("rgd", "rgn", "als"), **overrides)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverError, match="method 'rgd' failed on every replicate"):
+                run_experiment(cfg, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert sorted(f["method"] for f in manifest["failures"]) == ["als", "rgd", "rgn"]
 
 
 class TestCoherentOrdering:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import dense_reference as dense
+
 from segreopt import tensor as tc
 from segreopt.initialization import (
     InitSpec,
@@ -10,17 +12,8 @@ from segreopt.initialization import (
     init_regression,
     refine_by_deflation,
 )
-from segreopt.manifold import CPModel, DegenerateInputError, align_and_error
+from segreopt.manifold import DegenerateInputError, align_and_error
 from segreopt.operators import GaussianDesignOp
-
-
-def orthogonal_model(rng, shape, r, weights):
-    mats = []
-    for p in shape:
-        z = rng.standard_normal((p, p))
-        q, _ = np.linalg.qr(z)
-        mats.append(q[:, :r])
-    return CPModel.from_factors(weights, mats)
 
 
 class TestChooseSplit:
@@ -50,7 +43,7 @@ class TestChooseSplit:
 class TestCPCA:
     def test_exact_rank_one_any_split(self):
         rng = np.random.default_rng(0)
-        truth = orthogonal_model(rng, (5, 4, 3), 1, [2.3])
+        truth = dense.orthogonal_model(rng, (5, 4, 3), 1, [2.3])
         t = truth.embed()
         from itertools import combinations
         for size in range(1, 3):
@@ -70,14 +63,14 @@ class TestCPCA:
 
     def test_orthogonal_rank3_recovery(self):
         rng = np.random.default_rng(1)
-        truth = orthogonal_model(rng, (6, 5, 4), 3, [5.0, 3.0, 2.0])
+        truth = dense.orthogonal_model(rng, (6, 5, 4), 3, [5.0, 3.0, 2.0])
         model = cpca(truth.embed(), 3)
         rep = align_and_error(model, truth)
         assert rep.max_component_error <= 1e-8
 
     def test_components_sorted_by_weight(self):
         rng = np.random.default_rng(2)
-        truth = orthogonal_model(rng, (6, 5, 4), 3, [2.0, 5.0, 3.0])
+        truth = dense.orthogonal_model(rng, (6, 5, 4), 3, [2.0, 5.0, 3.0])
         model = cpca(truth.embed(), 3)
         mags = np.abs(model.weights)
         assert np.all(mags[:-1] >= mags[1:] - 1e-12)
@@ -92,6 +85,15 @@ class TestCPCA:
     def test_zero_tensor_degenerate(self):
         with pytest.raises(DegenerateInputError):
             cpca(np.zeros((3, 3, 3)), 1)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_tensor_degenerate(self, bad):
+        # once a raw LinAlgError from the SVD, which did not converge
+        t = np.full((3, 3, 3), bad)
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            cpca(t, 1)
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            init_decomposition(t, 1, InitSpec(method="cpca"))
 
     def test_rank_exceeds_unfolding(self):
         rng = np.random.default_rng(4)
@@ -127,7 +129,7 @@ class TestInitDecomposition:
 
     def test_cpca_method_on_orthogonal_instance(self):
         rng = np.random.default_rng(8)
-        truth = orthogonal_model(rng, (6, 5, 4), 3, [4.0, 3.0, 2.0])
+        truth = dense.orthogonal_model(rng, (6, 5, 4), 3, [4.0, 3.0, 2.0])
         model = init_decomposition(truth.embed(), 3, InitSpec(method="cpca", seed=0))
         assert align_and_error(model, truth).max_component_error <= 1e-8
 
@@ -144,7 +146,7 @@ class TestInitDecomposition:
 
     def test_refine_sweep_separates_components(self):
         rng = np.random.default_rng(9)
-        truth = orthogonal_model(rng, (10, 10, 10), 3, [6.0, 5.0, 4.0])
+        truth = dense.orthogonal_model(rng, (10, 10, 10), 3, [6.0, 5.0, 4.0])
         y = truth.embed()
         raw = init_decomposition(y, 3, InitSpec(method="random", seed=3))
         refined = refine_by_deflation(y, raw, 1)
@@ -163,7 +165,7 @@ class TestInitRegression:
         n = 50 * p_star
         errs = []
         for seed in range(10):
-            truth = orthogonal_model(np.random.default_rng(seed), shape, 1, [3.0])
+            truth = dense.orthogonal_model(np.random.default_rng(seed), shape, 1, [3.0])
             op = GaussianDesignOp.from_seed(seed, shape, n)
             y = op.apply(truth.embed())
             model = init_regression(op, y, 1)

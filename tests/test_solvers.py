@@ -42,14 +42,6 @@ def random_point(rng, shape, weight=None):
     return dense.point(weight if weight is not None else float(rng.uniform(1.0, 3.0)), us)
 
 
-def orthogonal_model(rng, shape, r, weights):
-    mats = []
-    for p in shape:
-        q, _ = np.linalg.qr(rng.standard_normal((p, p)))
-        mats.append(q[:, :r])
-    return CPModel.from_factors(weights, mats)
-
-
 def perturbed(model, eps, rng):
     comps = []
     for c in dense.columns(model):
@@ -72,10 +64,6 @@ def smoke_start(preset):
     return cfg, prob, start
 
 
-def unit_columns(m):
-    return m / np.linalg.norm(m, axis=0)
-
-
 def assert_orthogonal(factors, directions):
     """Every column of every direction matrix is orthogonal to its factor to 1e-14 relative."""
     for u, h in zip(factors, directions, strict=True):
@@ -93,7 +81,7 @@ def identity_problem(model, noise=None):
 class TestRgdStep:
     def test_truth_is_fixed_point(self):
         rng = np.random.default_rng(0)
-        truth = orthogonal_model(rng, (6, 5, 4), 2, [3.0, 2.0])
+        truth = dense.orthogonal_model(rng, (6, 5, 4), 2, [3.0, 2.0])
         prob = identity_problem(truth)
         state = SolverState.initial(prob, truth)
         out = rgd_step(state, prob, alpha=0.2)
@@ -101,7 +89,7 @@ class TestRgdStep:
 
     def test_monotone_descent_to_high_accuracy(self):
         rng = np.random.default_rng(1)
-        truth = orthogonal_model(rng, (5, 5, 5), 1, [2.0])
+        truth = dense.orthogonal_model(rng, (5, 5, 5), 1, [2.0])
         prob = identity_problem(truth)
         state = SolverState.initial(prob, perturbed(truth, 0.1, rng))
         errs = [align_and_error(state.model, truth).max_component_error]
@@ -113,7 +101,7 @@ class TestRgdStep:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
-        truth = orthogonal_model(rng, (5, 4, 3), 2, [2.0, 1.5])
+        truth = dense.orthogonal_model(rng, (5, 4, 3), 2, [2.0, 1.5])
         noise = 0.3 * rng.standard_normal(truth.shape)
         prob = identity_problem(truth, noise)
         model = perturbed(truth, 0.1, rng)
@@ -137,7 +125,7 @@ class TestRgdStep:
 
     def test_step_size_validated(self):
         rng = np.random.default_rng(3)
-        truth = orthogonal_model(rng, (4, 4, 4), 1, [2.0])
+        truth = dense.orthogonal_model(rng, (4, 4, 4), 1, [2.0])
         prob = identity_problem(truth)
         state = SolverState.initial(prob, truth)
         with pytest.raises(ValueError):
@@ -248,7 +236,7 @@ class TestTangentLeastSquares:
 class TestRgnStep:
     def test_truth_is_fixed_point(self):
         rng = np.random.default_rng(9)
-        truth = orthogonal_model(rng, (5, 4, 3), 2, [3.0, 2.0])
+        truth = dense.orthogonal_model(rng, (5, 4, 3), 2, [3.0, 2.0])
         prob = identity_problem(truth)
         state = SolverState.initial(prob, truth)
         out = rgn_step(state, prob)
@@ -256,7 +244,7 @@ class TestRgnStep:
 
     def test_identity_equals_unit_step_rgd_bitwise(self):
         rng = np.random.default_rng(10)
-        truth = orthogonal_model(rng, (6, 5, 4), 3, [4.0, 3.0, 2.0])
+        truth = dense.orthogonal_model(rng, (6, 5, 4), 3, [4.0, 3.0, 2.0])
         noise = 0.5 * rng.standard_normal(truth.shape)
         prob = identity_problem(truth, noise)
         start = perturbed(truth, 0.2, rng)
@@ -269,7 +257,7 @@ class TestRgnStep:
 
     def test_identity_matches_leave_one_out_projection_form(self):
         rng = np.random.default_rng(11)
-        truth = orthogonal_model(rng, (5, 4, 3), 2, [3.0, 2.0])
+        truth = dense.orthogonal_model(rng, (5, 4, 3), 2, [3.0, 2.0])
         prob = identity_problem(truth)
         start = perturbed(truth, 0.1, rng)
         state = SolverState.initial(prob, start)
@@ -287,7 +275,7 @@ class TestRgnStep:
         ratios = []
         for seed in range(20):
             local = np.random.default_rng(seed)
-            truth = orthogonal_model(local, (10, 10, 10), 1, [2.0])
+            truth = dense.orthogonal_model(local, (10, 10, 10), 1, [2.0])
             prob = identity_problem(truth)
             eps0 = 0.1
             start = perturbed(truth, eps0, local)
@@ -393,7 +381,7 @@ class TestJointTangentFit:
         n = 3 * r * tangent_dim(shape) + extra
         op = GaussianDesignOp.from_raw(rng.standard_normal((n,) + shape))
         model = CPModel.from_factors(rng.uniform(1.0, 3.0, r),
-                                     [unit_columns(rng.standard_normal((p, r))) for p in shape])
+                                     [dense.unit_columns(rng.standard_normal((p, r))) for p in shape])
         rhs = rng.standard_normal(n)
         vs = tc.batched_contract_all_but(op.designs, model.factors, range(len(shape)))
         cores, hs = _fit_tangent(vs, slice(0, r), model.factors, rhs, 1e-10)
@@ -471,7 +459,7 @@ class TestRegressionQuadraticPhase:
             truth = prob.truth
             rng = np.random.default_rng(rep)
             init = CPModel.from_factors(1.02 * truth.weights, [
-                unit_columns(u + 0.03 * rng.standard_normal(u.shape)) for u in truth.factors])
+                dense.unit_columns(u + 0.03 * rng.standard_normal(u.shape)) for u in truth.factors])
             _, trace = run(prob, SolverConfig(method="rgn", max_iters=6), init)
             eps = trace.column("rel_fro_err")
             assert eps.min() <= 1e-12, f"replicate {rep}: {eps}"
@@ -485,7 +473,7 @@ class TestRegressionQuadraticPhase:
 class TestRun:
     def test_zero_iters_returns_init(self):
         rng = np.random.default_rng(13)
-        truth = orthogonal_model(rng, (4, 4, 4), 2, [2.0, 1.5])
+        truth = dense.orthogonal_model(rng, (4, 4, 4), 2, [2.0, 1.5])
         prob = identity_problem(truth)
         init = perturbed(truth, 0.2, rng)
         model, trace = run(prob, SolverConfig(method="rgn", max_iters=0), init)
@@ -495,7 +483,7 @@ class TestRun:
 
     def test_feasibility_every_iterate(self):
         rng = np.random.default_rng(14)
-        truth = orthogonal_model(rng, (5, 5, 5), 2, [3.0, 2.0])
+        truth = dense.orthogonal_model(rng, (5, 5, 5), 2, [3.0, 2.0])
         noise = 0.5 * rng.standard_normal(truth.shape)
         prob = identity_problem(truth, noise)
         init = perturbed(truth, 0.2, rng)
@@ -520,7 +508,7 @@ class TestRun:
 
     def test_stopping_on_residual_stall(self):
         rng = np.random.default_rng(15)
-        truth = orthogonal_model(rng, (5, 4, 3), 1, [2.0])
+        truth = dense.orthogonal_model(rng, (5, 4, 3), 1, [2.0])
         prob = identity_problem(truth)
         # exact fixed point: residual change is zero immediately
         model, trace = run(prob, SolverConfig(method="rgn", max_iters=50), truth)
@@ -539,7 +527,7 @@ class TestRun:
 
     def test_trace_csv_contract(self, tmp_path):
         rng = np.random.default_rng(16)
-        truth = orthogonal_model(rng, (4, 4, 4), 1, [2.0])
+        truth = dense.orthogonal_model(rng, (4, 4, 4), 1, [2.0])
         prob = identity_problem(truth)
         _, trace = run(prob, SolverConfig(method="rgd", max_iters=3), perturbed(truth, 0.1, rng))
         path = tmp_path / "trace.csv"
@@ -603,7 +591,7 @@ class TestRun:
         import segreopt.manifold as manifold
 
         rng = np.random.default_rng(19)
-        truth = orthogonal_model(rng, (6, 5, 4), 3, [3.0, 2.0, 1.5])
+        truth = dense.orthogonal_model(rng, (6, 5, 4), 3, [3.0, 2.0, 1.5])
         prob = identity_problem(truth, 0.1 * rng.standard_normal(truth.shape))
         init = perturbed(truth, 0.2, rng)
         calls = []
@@ -665,7 +653,7 @@ class TestRun:
 
     def test_rank_mismatch_rejected(self):
         rng = np.random.default_rng(17)
-        truth = orthogonal_model(rng, (4, 4, 4), 2, [2.0, 1.0])
+        truth = dense.orthogonal_model(rng, (4, 4, 4), 2, [2.0, 1.0])
         prob = identity_problem(truth)
         bad_init = dense.columns(truth)[0]
         for method in ("rgd", "rgn", "als"):
@@ -680,7 +668,7 @@ class TestNoiselessMonotonePhase:
         good = 0
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            truth = orthogonal_model(rng, (12, 10, 8), 2, [3.0, 2.0])
+            truth = dense.orthogonal_model(rng, (12, 10, 8), 2, [3.0, 2.0])
             prob = identity_problem(truth)
             init = perturbed(truth, 0.35, rng)
             if align_and_error(init, truth).max_component_error > 0.1:
@@ -768,6 +756,22 @@ class TestTwoPhaseCoherent:
         "cp_als_decompose", "cp_als_regress"])
 def test_negative_iteration_count_rejected(make, field):
     with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
+        make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SolverConfig(gauss_seidel="no"), "gauss_seidel must be a bool, got 'no'"),
+    (lambda: SolverConfig(stop_tol=True), "stop_tol must be a real number, got True"),
+    (lambda: SolverConfig(max_iters=2.5), "max_iters must be an integer, got 2.5"),
+    (lambda: SolverConfig(step_size="0.2"), "step_size must be a real number, got '0.2'"),
+    (lambda: SolverConfig(pinv_tol=None), "pinv_tol must be a real number, got None"),
+    (lambda: cp_als_regress(GaussianDesignOp(np.ones((3, 2, 2, 2))), np.ones(3), 1,
+                            _unit_model((2, 2, 2)), 2.5), "max_iters must be an integer, got 2.5"),
+], ids=["gauss_seidel-string", "stop_tol-bool", "max_iters-float", "step_size-string",
+        "pinv_tol-none", "cp_als_regress-float-iters"])
+def test_solver_config_field_of_wrong_type_rejected(make, message):
+    # once Gauss-Seidel switched on, a stop after one iteration, or a raw TypeError
+    with pytest.raises(ValueError, match=f"^{message}$"):
         make()
 
 
