@@ -81,7 +81,7 @@ class ExperimentConfig:
     step_size: float = 0.2
     stop_tol: float = 1e-12
     pinv_tol: float = 1e-10
-    gauss_seidel: bool = False
+    gauss_seidel: bool = False        # RGN fits one component at a time; RGD and ALS ignore it
 
     def __post_init__(self):
         for f in fields(self):
@@ -137,6 +137,8 @@ class ExperimentConfig:
             unfolding_split(self.dims, self.rank, self.cpca_split)
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.methods or any(m not in METHODS for m in self.methods):
             raise ValueError(f"methods must be a nonempty selection from {METHODS}")
         self.solver_config(self.methods[0])  # checks the solver fields

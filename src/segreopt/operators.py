@@ -74,8 +74,8 @@ class GaussianDesignOp(MeasurementOp):
 
     @classmethod
     def from_raw(cls, raw_designs: np.ndarray, scale: float = 1.0) -> "GaussianDesignOp":
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        if not 0 < scale < np.inf:
+            raise ValueError(f"scale must be positive and finite, got {scale}")
         raw_designs = np.asarray(raw_designs, dtype=np.float64)
         n = raw_designs.shape[0]
         return cls(raw_designs / (np.sqrt(n) * scale))

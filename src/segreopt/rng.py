@@ -7,6 +7,8 @@ noise) never shifts the draws of another (say, the designs).
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 PURPOSES = {
@@ -22,6 +24,8 @@ PURPOSES = {
 def _seed_sequence(seed: int, purpose: str, replicate: int) -> np.random.SeedSequence:
     if purpose not in PURPOSES:
         raise ValueError(f"unknown stream purpose {purpose!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.SeedSequence((int(seed), PURPOSES[purpose], int(replicate)))
 
 

@@ -4,13 +4,13 @@ over products of rank-one manifolds, and the driver that iterates them.
 Each method is a step function from one :class:`SolverState` to the next:
 :func:`rgd_step`, :func:`rgn_step`, and the CP-ALS sweep ``als.als_step``.
 :func:`run` iterates any of them and owns the stall rule, the divergence
-guard and the trace.  RGD and RGN update the factor matrices in column
-blocks: one block of every component, fitted from the residual frozen at
-iteration start (Jacobi style), or under ``gauss_seidel`` one block per
-component, fitted against the components updated before it.  RGN fits
-each block jointly (under Jacobi, Gauss-Newton on the product of the
-components' manifolds), then retracts each trial step from the start in one
-call, halving it until the residual norm does not rise.
+guard and the trace.  RGD steps every component from the residual at
+iteration start; RGN updates the factor matrices in column blocks: one block
+of every component, or under ``gauss_seidel`` (which RGD and ALS ignore) one
+block per component, fitted against the components updated before it.  RGN
+fits each block jointly (under Jacobi, Gauss-Newton on the product of the
+components' manifolds), then retracts each trial from the start in one call,
+halving it until the residual norm does not rise.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ class Problem:
                              f"{self.op.output_dim}")
         _check_observations(y)
         object.__setattr__(self, "y", y)
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
+        if not _is_integer(self.rank) or self.rank < 1:
+            raise ValueError(f"rank must be an integer >= 1, got {self.rank!r}")
 
 
 def _is_integer(v) -> bool:
@@ -105,7 +105,7 @@ class SolverConfig:
     max_iters: int = 50
     stop_tol: float = 1e-12
     pinv_tol: float = 1e-10
-    gauss_seidel: bool = False
+    gauss_seidel: bool = False  # RGN fits one component at a time; RGD and ALS ignore it
 
     def __post_init__(self):
         for name, test, kind in (("step_size", _is_real, "a real number"),
@@ -145,7 +145,7 @@ def _residual(problem: Problem, model: CPModel) -> np.ndarray:
 
 
 def _blocks(rank: int, gauss_seidel: bool) -> list[slice]:
-    """Column blocks updated in turn: all at once, or one by one (Gauss-Seidel)."""
+    """Column blocks RGN updates in turn: all at once, or one by one (Gauss-Seidel)."""
     return [slice(i, i + 1) for i in range(rank)] if gauss_seidel else [slice(0, rank)]
 
 
@@ -161,23 +161,20 @@ def _retract(weights: np.ndarray, factors: list[np.ndarray] | tuple[np.ndarray, 
 
 
 def rgd_step(state: SolverState, problem: Problem, alpha: float,
-             gauss_seidel: bool = False) -> SolverState:
+             cols: slice = slice(0, None)) -> SolverState:
     """One gradient step: project the ambient gradient of the squared misfit
-    onto each component's tangent space, step, retract."""
+    at the stored residual onto the tangent space of each component in
+    ``cols`` (every one by default), step, retract."""
     if not 0 < alpha <= 1:
         raise ValueError("step size must lie in (0, 1]")
-    op = problem.op
     start = state.model
+    us = [u[:, cols] for u in start.factors]
+    cores, hs = tangent_parts(problem.op.adjoint(-state.residual), us)
+    new = _retract(start.weights[cols] - alpha * cores, us, [-alpha * h for h in hs], cols.start)
     weights, factors = start.weights.copy(), [u.copy() for u in start.factors]
-    for cols in _blocks(start.rank, gauss_seidel):
-        residual = (state.residual if cols.start == 0
-                    else _residual(problem, CPModel.from_factors(weights, factors)))
-        us = [u[:, cols] for u in start.factors]
-        cores, hs = tangent_parts(op.adjoint(-residual), us)
-        new = _retract(weights[cols] - alpha * cores, us, [-alpha * h for h in hs], cols.start)
-        weights[cols] = new.weights
-        for u, v in zip(factors, new.factors):
-            u[:, cols] = v
+    weights[cols] = new.weights
+    for u, v in zip(factors, new.factors):
+        u[:, cols] = v
     model = CPModel._of(weights, factors)
     return SolverState(model, state.iteration + 1, _residual(problem, model))
 
@@ -287,9 +284,12 @@ def rgn_step(state: SolverState, problem: Problem, pinv_tol: float = 1e-10,
     over the designs, which also yields the next step's contractions."""
     op = problem.op
     if isinstance(op, IdentityOp):
-        # With full observations the Gauss-Newton step coincides with a unit
-        # step of gradient descent; share the code path so they match exactly.
-        return rgd_step(state, problem, 1.0, gauss_seidel)
+        # With full observations the Gauss-Newton step of a block coincides
+        # with its unit gradient step; share the code so they match exactly.
+        stepped = state
+        for cols in _blocks(state.model.rank, gauss_seidel):
+            stepped = rgd_step(stepped, problem, 1.0, cols)
+        return SolverState(stepped.model, state.iteration + 1, stepped.residual)
     # One pass over the designs (or the contractions the previous step
     # carried over) yields every component's tangent design matrix, under
     # Gauss-Seidel too, since each depends only on its component's start.
@@ -394,7 +394,7 @@ def run(problem: Problem, config: SolverConfig, init: CPModel) -> tuple[CPModel,
         tic = time.perf_counter()
         try:
             if config.method == "rgd":
-                state = rgd_step(state, problem, config.step_size, config.gauss_seidel)
+                state = rgd_step(state, problem, config.step_size)
             elif config.method == "rgn":
                 state = rgn_step(state, problem, config.pinv_tol, config.gauss_seidel)
             else:

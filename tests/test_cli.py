@@ -82,9 +82,12 @@ def test_missing_preset_and_config_errors(tmp_path):
     ({}, ["decompose", "--config", "{list_top}"]),
     ({}, ["decompose", "--config", "{number_top}"]),
     ({}, ["bench", "--config", "{string_top}"]),
+    ({}, ["decompose", "--preset", "smoke-decompose", "--seed", "-1"]),
+    ({"SEGREOPT_SEED": "-3"}, ["regress", "--preset", "smoke-regress"]),
 ], ids=["env-rho", "env-seed", "bench-replicates", "missing-config", "bad-json-config",
         "env-noise-nan", "env-kappa-inf", "string-rank-config", "string-flag-config",
-        "list-config", "number-config", "string-config"])
+        "list-config", "number-config", "string-config", "negative-seed-flag",
+        "env-negative-seed"])
 def test_bad_configuration_ends_in_error_line(tmp_path, monkeypatch, capsys, env, argv):
     for name, value in env.items():
         monkeypatch.setenv(name, value)

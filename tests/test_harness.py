@@ -399,7 +399,8 @@ class TestPresets:
                                               ("task", 1), ("weight_law", None),
                                               ("init_method", 2), ("cpca_split", (0, 1.0)),
                                               ("cpca_split", 0), ("step_size", "0.2"),
-                                              ("stop_tol", None), ("pinv_tol", "1e-10")])
+                                              ("stop_tol", None), ("pinv_tol", "1e-10"),
+                                              ("seed", -1)])
     def test_out_of_range_config_rejected(self, field, value):
         # checked at construction, before any instance is built; the base
         # config's adjoint-cpca init is out of range for a decompose task,

@@ -101,6 +101,22 @@ class TestCPCA:
             cpca(rng.standard_normal((3, 3, 3)), 4)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", True), ("refine_sweeps", 1.5), ("refine_sweeps", -1),
+    ("cpca_split", "01"), ("cpca_split", (0, 1.0)), ("cpca_split", 0), ("method", "bogus"),
+])
+def test_init_spec_field_rejected(field, value):
+    # seed 1.5 drew seed 1's stream, refine_sweeps 1.5 failed in range() and
+    # the split "01" was read as (0, 1)
+    with pytest.raises(ValueError, match=field if field != "method" else "init method"):
+        InitSpec(**{field: value})
+
+
+def test_negative_init_seed_named():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -2"):
+        init_decomposition(np.ones((2, 2, 2)), 1, InitSpec(seed=-2))
+
+
 class TestInitDecomposition:
     def test_random_is_deterministic(self):
         rng = np.random.default_rng(5)

@@ -118,6 +118,17 @@ class TestGaussianDesignOp:
         with pytest.raises(ValueError, match="scale"):
             GaussianDesignOp.from_raw(np.ones((3, 2, 2)), scale=-1.0)
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        # a NaN scale gave all-NaN designs and an infinite one all-zero designs
+        with pytest.raises(ValueError, match="scale"):
+            GaussianDesignOp.from_raw(np.ones((3, 2, 2)), scale=scale)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+            GaussianDesignOp.from_seed(seed, (2, 2), 3)
+
     def test_length_mismatch(self):
         rng = np.random.default_rng(11)
         op = self._op(rng)

@@ -131,28 +131,19 @@ class TestRgdStep:
         with pytest.raises(ValueError):
             rgd_step(state, prob, alpha=1.5)
 
-    @pytest.mark.parametrize("preset,gauss_seidel", [
-        ("smoke-decompose", False), ("smoke-regress", False), ("smoke-regress", True),
-    ])
-    def test_matches_dense_formulation(self, preset, gauss_seidel):
-        # one step equals projecting the ambient gradient onto each tangent
-        # space, stepping and retracting the dense tensor, with the gradient
-        # refreshed after each component under Gauss-Seidel
+    @pytest.mark.parametrize("preset", ["smoke-decompose", "smoke-regress"])
+    def test_matches_dense_formulation(self, preset):
+        # one step equals projecting the ambient gradient at the stored
+        # residual onto each tangent space, stepping and retracting the dense tensor
         cfg, prob, start = smoke_start(preset)
-        op = prob.op
         state = SolverState.initial(prob, start)
         alpha = cfg.step_size
-        got = rgd_step(state, prob, alpha, gauss_seidel=gauss_seidel)
-        embeds = [c.embed() for c in dense.columns(start)]
-        total = np.sum(embeds, axis=0)
-        ambient = op.adjoint(-state.residual)
+        got = rgd_step(state, prob, alpha)
+        ambient = prob.op.adjoint(-state.residual)
         for i, point in enumerate(dense.columns(start)):
-            if gauss_seidel and i > 0:
-                ambient = op.adjoint(op.apply(total) - prob.y)
-            expected = retract_thosvd(embeds[i] - alpha * project_tangent(point, ambient)).embed()
+            expected = retract_thosvd(point.embed() - alpha * project_tangent(point, ambient)).embed()
             assert tc.fro_norm(dense.columns(got.model)[i].embed() - expected) <= (
                 1e-12 * tc.fro_norm(expected))
-            total += expected - embeds[i]
 
 
 class TestProblem:
@@ -163,6 +154,11 @@ class TestProblem:
             y[4] = bad
             with pytest.raises(ValueError, match="observations y"):
                 Problem(op=op, y=y, rank=1)
+
+    @pytest.mark.parametrize("rank", [0, 2.5, True, "2"])
+    def test_rank_not_a_positive_integer_rejected(self, rank):
+        with pytest.raises(ValueError, match="rank must be an integer >= 1"):
+            Problem(op=IdentityOp((2, 3)), y=np.ones(6), rank=rank)
 
 
 class TestTangentLeastSquares:
@@ -256,19 +252,26 @@ class TestRgnStep:
             assert np.array_equal(fa, fb)
 
     def test_identity_matches_leave_one_out_projection_form(self):
+        # each component's step is the projection of its leave-one-out
+        # residual, retracted; under Gauss-Seidel the later components' targets
+        # see the earlier ones at their retractions
         rng = np.random.default_rng(11)
-        truth = dense.orthogonal_model(rng, (5, 4, 3), 2, [3.0, 2.0])
+        truth = dense.orthogonal_model(rng, (5, 4, 3), 3, [3.0, 2.0, 1.5])
         prob = identity_problem(truth)
         start = perturbed(truth, 0.1, rng)
         state = SolverState.initial(prob, start)
-        stepped = rgn_step(state, prob)
         y = prob.y.reshape(truth.shape)
-        embeds = [c.embed() for c in dense.columns(start)]
-        for i, point in enumerate(dense.columns(start)):
-            rhs = y - (sum(embeds) - embeds[i])
-            expected = retract_thosvd(project_tangent(point, rhs))
-            got = dense.columns(stepped.model)[i]
-            assert np.allclose(got.embed(), expected.embed(), atol=1e-9)
+        for gauss_seidel in (False, True):
+            stepped = rgn_step(state, prob, gauss_seidel=gauss_seidel)
+            seen = [c.embed() for c in dense.columns(start)]  # by the later targets
+            for i, point in enumerate(dense.columns(start)):
+                rhs = y - (sum(seen) - seen[i])
+                expected = retract_thosvd(project_tangent(point, rhs)).embed()
+                assert np.allclose(dense.columns(stepped.model)[i].embed(), expected, atol=1e-9)
+                if gauss_seidel:
+                    seen[i] = expected
+            fresh = prob.y - stepped.model.embed().ravel()
+            assert np.allclose(stepped.residual, fresh, atol=1e-12)
 
     def test_quadratic_contraction_rank_one(self):
         rng = np.random.default_rng(12)
@@ -558,13 +561,15 @@ class TestRun:
     @pytest.mark.parametrize("gauss_seidel", [False, True])
     def test_design_passes_per_iteration(self, monkeypatch, gauss_seidel):
         # RGN reads the design stack once per iteration plus once at the start,
-        # and Gauss-Seidel adds one apply per component but the last
+        # and Gauss-Seidel adds one apply per component but the last; RGD reads
+        # it twice per iteration (the adjoint of the stored residual and the
+        # new residual) whatever the setting
         import segreopt.solvers as solvers
 
         cfg = config_from_preset("smoke-regress")
         prob = gen_instance(cfg, 0)
         init = init_regression(prob.op, prob.y, cfg.rank, cfg.cpca_split)
-        calls = {"kernel": 0, "apply": 0}
+        calls = {"kernel": 0, "apply": 0, "adjoint": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -575,14 +580,17 @@ class TestRun:
         monkeypatch.setattr(solvers, "batched_contract_all_but",
                             counted("kernel", solvers.batched_contract_all_but))
         monkeypatch.setattr(GaussianDesignOp, "apply", counted("apply", GaussianDesignOp.apply))
+        monkeypatch.setattr(GaussianDesignOp, "adjoint",
+                            counted("adjoint", GaussianDesignOp.adjoint))
         k = 4
-        _, trace = run(prob, SolverConfig(method="rgn", max_iters=k, stop_tol=1e-300,
-                                          gauss_seidel=gauss_seidel), init)
-        assert len(trace.records) == k + 1
-        if gauss_seidel:
-            assert calls == {"kernel": k + 1, "apply": 1 + (cfg.rank - 1) * k}
-        else:
-            assert calls == {"kernel": k + 1, "apply": 1}
+        rgn_applies = 1 + (cfg.rank - 1) * k if gauss_seidel else 1
+        for method, expected in (("rgn", {"kernel": k + 1, "apply": rgn_applies, "adjoint": 0}),
+                                 ("rgd", {"kernel": 0, "apply": 1 + k, "adjoint": k})):
+            calls.update(kernel=0, apply=0, adjoint=0)
+            _, trace = run(prob, SolverConfig(method=method, max_iters=k, stop_tol=1e-300,
+                                              gauss_seidel=gauss_seidel), init)
+            assert len(trace.records) == k + 1
+            assert calls == expected, method
 
     @pytest.mark.parametrize("method", ["rgd", "rgn", "als"])
     def test_no_dense_rank_one_tensor_per_decomposition_iteration(self, monkeypatch, method):
