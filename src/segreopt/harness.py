@@ -29,34 +29,8 @@ from .initialization import (INIT_METHODS, InitSpec, init_decomposition, init_re
 from .manifold import CPModel, DegenerateInputError, align_and_error, incoherence
 from .operators import GaussianDesignOp, IdentityOp
 from .rng import substream, substream_seed
-from .solvers import (METHODS, ConvergenceTrace, Problem, SolverConfig, SolverError, _is_integer,
-                      _is_real, run)
-
-
-def _is_string(v) -> bool:
-    return isinstance(v, str)
-
-
-# The type of value each ExperimentConfig field takes, as a test and its name,
-# except the solver fields, which SolverConfig checks.  A list field takes a
-# list of such values, and a field whose default is None may also be None.
-_FIELD_TYPES = {
-    "task": (_is_string, "a string"),
-    "dims": (_is_integer, "integers"),
-    "rank": (_is_integer, "an integer"),
-    "rho": (_is_real, "a real number"),
-    "weight_law": (_is_string, "a string"),
-    "kappa": (_is_real, "a real number"),
-    "noise_sd": (_is_real, "a real number"),
-    "n_samples": (_is_integer, "an integer"),
-    "methods": (_is_string, "strings"),
-    "init_method": (_is_string, "a string"),
-    "init_refine_sweeps": (_is_integer, "an integer"),
-    "cpca_split": (_is_integer, "integers"),
-    "replicates": (_is_integer, "an integer"),
-    "seed": (_is_integer, "an integer"),
-}
-_LIST_FIELDS = ("dims", "methods", "cpca_split")
+from .solvers import (METHODS, ConvergenceTrace, Problem, SolverConfig, SolverError,
+                      _check_field_types, run)
 
 
 @dataclass(frozen=True)
@@ -84,20 +58,7 @@ class ExperimentConfig:
     gauss_seidel: bool = False        # RGN fits one component at a time; RGD and ALS ignore it
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.name not in _FIELD_TYPES:
-                continue
-            test, kind = _FIELD_TYPES[f.name]
-            v = getattr(self, f.name)
-            if v is None and f.default is None:
-                continue
-            if f.name in _LIST_FIELDS:
-                ok, kind = isinstance(v, (list, tuple)) and all(map(test, v)), "a list of " + kind
-            else:
-                ok = test(v)
-            if not ok:
-                null = " or null" if f.default is None else ""
-                raise ValueError(f"{f.name} must be {kind}{null}, got {v!r}")
+        _check_field_types(self)
         object.__setattr__(self, "dims", tuple(int(p) for p in self.dims))
         if self.task not in ("decompose", "regress"):
             raise ValueError(f"unknown task {self.task!r}")
@@ -141,7 +102,7 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.methods or any(m not in METHODS for m in self.methods):
             raise ValueError(f"methods must be a nonempty selection from {METHODS}")
-        self.solver_config(self.methods[0])  # checks the solver fields
+        self.solver_config(self.methods[0])  # checks the solver fields' ranges
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.cpca_split is not None:
             object.__setattr__(self, "cpca_split", tuple(self.cpca_split))
@@ -316,10 +277,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None =
 
     When ``out_dir`` is given, writes ``trace_<method>_<rep>.csv`` per run,
     ``aggregate.csv``, and ``manifest.json``.  Solver failures are recorded
-    and skipped, and so is a replicate whose initialization degenerates (as a
-    failure of every method, with a NaN initial error); a method with a
-    recorded failure on every replicate raises ``SolverError``, after the
-    outputs are written.
+    and skipped, and so is a replicate whose observations overflow or whose
+    initialization degenerates (as a failure of every method, with a NaN
+    initial error); a method with a recorded failure on every replicate
+    raises ``SolverError``, after the outputs are written.
     """
     summary = ReplicateSummary(config=config, traces={m: [] for m in config.methods})
 
@@ -328,9 +289,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None =
                                  "component": component, "message": message})
 
     for rep in range(config.replicates):
-        problem = gen_instance(config, rep)
-        summary.measured_eta.append(incoherence(problem.truth)[1])
+        # measured on the truth alone, which stays finite when the observations overflow
+        summary.measured_eta.append(incoherence(gen_truth(config, rep))[1])
         try:
+            problem = gen_instance(config, rep)
             init = _initial_model(config, problem, rep)
         except DegenerateInputError as exc:
             summary.init_errors.append(math.nan)

@@ -24,12 +24,11 @@ from .manifold import (
 )
 from .operators import GaussianDesignOp
 from .rng import substream
-from .solvers import _check_observations, _is_integer
+from .solvers import _check_field_types, _check_observations
 from .tensor import check_tensor, contract_all_modes, fro_norm, outer_rank_one, unfold
 
 logger = logging.getLogger(__name__)
 
-InitMethod = str  # one of INIT_METHODS
 INIT_METHODS = ("random", "cpca", "adjoint-cpca")
 
 
@@ -43,18 +42,13 @@ class InitSpec:
     observations only); see :func:`refine_by_deflation`.
     """
 
-    method: InitMethod = "random"
+    method: str = "random"  # one of INIT_METHODS
     seed: int = 0
     cpca_split: tuple[int, ...] | None = None
     refine_sweeps: int = 0
 
     def __post_init__(self):
-        for name in ("seed", "refine_sweeps"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        split = self.cpca_split
-        if not (split is None or isinstance(split, (list, tuple)) and all(map(_is_integer, split))):
-            raise ValueError(f"cpca_split must be a list of integers or None, got {split!r}")
+        _check_field_types(self)
         if self.method not in INIT_METHODS:
             raise ValueError(f"unknown init method {self.method!r}")
         if self.refine_sweeps < 0:

@@ -16,11 +16,14 @@ halving it until the residual norm does not rise.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 import math
 import numbers
 import time
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +63,7 @@ class SolverError(RuntimeError):
 
 def _check_observations(y: np.ndarray) -> None:
     if not np.all(np.isfinite(y)):
-        raise ValueError("observations y contain non-finite values")
+        raise DegenerateInputError("observations y contain non-finite values")
 
 
 @dataclass(frozen=True)
@@ -88,12 +91,48 @@ def _is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+# What a config field annotated with each type accepts (a bool is neither an
+# integer nor a real number here), and the type's name alone and as list items.
+_FIELD_KINDS = {
+    int: (numbers.Integral, "an integer", "integers"),
+    float: (numbers.Real, "a real number", "real numbers"),
+    bool: (bool, "a bool", "bools"),
+    str: (str, "a string", "strings"),
+}
 
 
-def _is_bool(v) -> bool:
-    return isinstance(v, bool)
+@functools.cache
+def _field_types(cls: type) -> tuple[tuple[str, type, bool, bool, str], ...]:
+    """Per field of the dataclass ``cls``, read off its annotation: the name,
+    the item type, whether it is a ``tuple[T, ...]``, whether it is ``| None``,
+    and what it must be."""
+    checks = []
+    for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        (hint,) = [a for a in args if a is not type(None)]
+        listed = typing.get_origin(hint) is tuple
+        item = typing.get_args(hint)[0] if listed else hint
+        _, one, many = _FIELD_KINDS[item]
+        kind = ("a list of " + many if listed else one) + (" or null" if len(args) > 1 else "")
+        checks.append((name, item, listed, len(args) > 1, kind))
+    return tuple(checks)
+
+
+def _is_kind(v, item: type) -> bool:
+    return isinstance(v, _FIELD_KINDS[item][0]) and (item is bool or not isinstance(v, bool))
+
+
+def _check_field_types(obj) -> None:
+    """Raise ``ValueError`` on the first field of the dataclass ``obj`` whose
+    value is not of its annotated type: ``int``, ``float``, ``bool`` or
+    ``str``, ``tuple[T, ...]`` (a list or tuple of ``T``), or one of these
+    ``| None``."""
+    for name, item, listed, nullable, kind in _field_types(type(obj)):
+        v = getattr(obj, name)
+        ok = (isinstance(v, (list, tuple)) and all(_is_kind(x, item) for x in v) if listed
+              else _is_kind(v, item))
+        if not (ok or v is None and nullable):
+            raise ValueError(f"{name} must be {kind}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -108,13 +147,7 @@ class SolverConfig:
     gauss_seidel: bool = False  # RGN fits one component at a time; RGD and ALS ignore it
 
     def __post_init__(self):
-        for name, test, kind in (("step_size", _is_real, "a real number"),
-                                 ("max_iters", _is_integer, "an integer"),
-                                 ("stop_tol", _is_real, "a real number"),
-                                 ("pinv_tol", _is_real, "a real number"),
-                                 ("gauss_seidel", _is_bool, "a bool")):
-            if not test(getattr(self, name)):
-                raise ValueError(f"{name} must be {kind}, got {getattr(self, name)!r}")
+        _check_field_types(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if not 0 < self.step_size <= 1:
@@ -195,7 +228,8 @@ def _fit_tangent(vs: list[np.ndarray], cols: slice, factors: tuple[np.ndarray, .
     fewer than the tangent dimension ``|cols| (1 + sum(p_k - 1))`` is flagged.
     When a Cholesky factorization certifies every eigenvalue of the tangent
     part above ``pinv_tol`` times the trace, none is dropped, and the system,
-    with the null directions filled in, is solved directly instead.  Every
+    with the null directions filled in, is solved directly instead, with one
+    step of iterative refinement on the residual of the design.  Every
     ``h_k`` is re-projected onto the complement of its ``u_k``.  Returns the
     cores and one ``p_k x |cols|`` direction matrix per mode.
     """
@@ -221,6 +255,8 @@ def _fit_tangent(vs: list[np.ndarray], cols: slice, factors: tuple[np.ndarray, .
     try:
         np.linalg.cholesky(filled - pinv_tol * scale * np.eye(ends[-1]))
         x = np.linalg.solve(filled, jtr)
+        # refined once on the design's residual: the normal equations lose cond(design)^2
+        x += np.linalg.solve(filled, design.T @ (rhs - design @ x))
     except np.linalg.LinAlgError:
         evals, evecs = np.linalg.eigh(gram)
         keep = evals > pinv_tol * max(evals[-1], 0.0)

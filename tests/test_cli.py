@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 import segreopt
@@ -112,6 +113,25 @@ def test_bad_configuration_ends_in_error_line(tmp_path, monkeypatch, capsys, env
     if "_top" in argv[-1]:
         assert "must be a JSON object" in err and paths[argv[-1][1:-1]] in err
     assert not out.exists()
+
+
+def test_overflowing_observations_recorded_per_replicate(tmp_path, monkeypatch, capsys):
+    # noise of sd 1e308 overflows the observations of every replicate: once a
+    # traceback from Problem with nothing written, now a failure of every
+    # method on every replicate, after the outputs are written
+    monkeypatch.setenv("SEGREOPT_NOISE_SD", "1e308")
+    out = tmp_path / "o"
+    with np.errstate(over="ignore"):
+        rc = main(["decompose", "--preset", "smoke-decompose", "--out", str(out),
+                   "--replicates", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: method 'rgd' failed on every replicate" in err and "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["init_rel_errors"] == [None, None]
+    assert len(manifest["failures"]) == 2 * len(manifest["config"]["methods"])
+    assert all(f["message"] == "initialization failed: observations y contain non-finite "
+               "values" for f in manifest["failures"])
 
 
 @pytest.mark.parametrize("grid, message", [

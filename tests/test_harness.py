@@ -282,6 +282,33 @@ class TestRunExperiment:
             assert s.traces[method][0] is None
             assert len(s.traces[method][1].records) > 1
 
+    def test_observation_overflow_recorded_as_replicate_failure(self, monkeypatch):
+        # replicate 0's noise overflows its observations, so no instance can
+        # be built: every method fails on it, with a NaN initial error, and
+        # its truth's coherence is still measured
+        import dataclasses
+
+        import segreopt.harness as hz
+
+        real = hz.gen_instance
+        def noisy(config, replicate=0):
+            if replicate == 0:
+                config = dataclasses.replace(config, noise_sd=1e308)
+            return real(config, replicate)
+
+        monkeypatch.setattr(hz, "gen_instance", noisy)
+        cfg = self._smoke_config(replicates=2)
+        with np.errstate(over="ignore"):
+            s = hz.run_experiment(cfg)
+        assert [(f["method"], f["replicate"]) for f in s.failures] == [("rgd", 0), ("rgn", 0)]
+        assert all(f["message"] == "initialization failed: observations y contain "
+                   "non-finite values" for f in s.failures)
+        assert math.isnan(s.init_errors[0]) and math.isfinite(s.init_errors[1])
+        assert s.measured_eta[0] == incoherence(gen_truth(cfg, 0))[1]
+        for method in cfg.methods:
+            assert s.traces[method][0] is None
+            assert len(s.traces[method][1].records) > 1
+
     @pytest.mark.parametrize("sweeps", [0, 1])
     def test_manifest_is_strict_json(self, sweeps, monkeypatch, tmp_path):
         # the blown-up replicate 0 again: its initial error is infinite

@@ -1,15 +1,16 @@
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_reference as dense
 
 from segreopt import tensor as tc
 from segreopt.als import cp_als_decompose, cp_als_regress
-from segreopt.harness import ExperimentConfig, config_from_preset, gen_instance
+from segreopt.harness import ExperimentConfig, config_from_preset, gen_instance, run_experiment
 from segreopt.initialization import InitSpec, init_decomposition, init_regression
 from segreopt.manifold import (
     CPModel,
@@ -375,6 +376,9 @@ class TestJointTangentFit:
            shape=st.lists(st.integers(2, 6), min_size=2, max_size=4),
            r=st.integers(1, 3),
            extra=st.integers(0, 10))
+    # a certified but ill-conditioned design (cond ~ 1.2e4): the normal
+    # equations alone were off by 8.4e-9, refined by 4.4e-12
+    @example(seed=21740, shape=[2, 3, 5], r=3, extra=8)
     def test_matches_dense_oracle(self, seed, shape, r, extra):
         # the fit over all components at once, cross-component terms
         # included; where their tangent spaces overlap (small shapes, r = 3)
@@ -448,6 +452,23 @@ class TestRgnSafeguard:
         _, trace = run(prob, SolverConfig(method="rgn", max_iters=30), state.model)
         res = trace.column("residual")
         assert np.all(res[1:] <= (1 + 1e-12) * res[:-1])
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="with full observations a Jacobi RGN step is a unit gradient step "
+               "with no safeguard; where the components' tangent spaces overlap it "
+               "diverges (residual 15.9, 14.5, 25.5, ..., 1.15e4 by iteration 11; "
+               "final rel_fro_err 1.2e8, RGD 0.23) and nothing records it",
+    )
+    def test_full_observations_do_not_diverge(self):
+        # three rank-one terms in a 3 x 3 matrix: the decomposition-side
+        # Gauss-Newton system is what should flip this
+        summary = run_experiment(ExperimentConfig(task="decompose", dims=(3, 3), rank=3,
+                                                  replicates=1, methods=("rgn",)))
+        trace = summary.traces["rgn"][0]
+        res = trace.column("residual")
+        assert np.all(res[1:] <= (1 + 1e-12) * res[:-1])
+        assert trace.records[-1].rel_fro_err < 1
 
 
 class TestRegressionQuadraticPhase:
@@ -781,6 +802,18 @@ def test_solver_config_field_of_wrong_type_rejected(make, message):
     # once Gauss-Seidel switched on, a stop after one iteration, or a raw TypeError
     with pytest.raises(ValueError, match=f"^{message}$"):
         make()
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, f.name) for cls in (SolverConfig, InitSpec, ExperimentConfig)
+    for f in dataclasses.fields(cls)
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_every_config_field_checks_its_type(cls, name):
+    # each field's annotation is its type contract, so a field added later is
+    # checked too; a dict is of none of the annotated types
+    required = {"task": "decompose"} if cls is ExperimentConfig else {}
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        cls(**{**required, name: {}})
 
 
 def _unit_model(shape):
