@@ -8,9 +8,12 @@ Subcommands:
   own subdirectory, named ``noise<noise_sd>_rho<rho>`` followed by
   ``_<key><value>`` for every other grid key in sorted order.
 
-Config fields can be overridden by environment variables prefixed with
-``SEGREOPT_`` (e.g. ``SEGREOPT_REPLICATES=5``); flags take precedence over
-the environment, which takes precedence over the file.  A configuration
+Every config field, and ``bench``'s ``grid``, can be overridden by the
+variable ``SEGREOPT_<FIELD>``, read as JSON or else as bare text
+(``SEGREOPT_METHODS='["rgn"]'``, ``SEGREOPT_WEIGHT_LAW=geometric-kappa``) and
+checked and stored as the field's type like a file value; a variable that
+names no field is an error.  Flags and the subcommand's task take precedence
+over the environment, which takes precedence over the file.  A configuration
 that cannot be read or is invalid ends with ``error: ...`` on stderr and
 exit status 2.
 """
@@ -35,19 +38,15 @@ ENV_PREFIX = "SEGREOPT_"
 
 
 def _env_overrides() -> dict:
+    """Every ``SEGREOPT_<KEY>`` variable as ``{key: JSON value, or else text}``."""
     out = {}
-    fields = {
-        "seed": int, "replicates": int, "max_iters": int, "noise_sd": float,
-        "rho": float, "step_size": float, "kappa": float, "n_samples": int,
-    }
-    for name, cast in fields.items():
-        var = ENV_PREFIX + name.upper()
-        raw = os.environ.get(var)
-        if raw is not None:
+    for var, raw in os.environ.items():
+        if var.startswith(ENV_PREFIX):
             try:
-                out[name] = cast(raw)
-            except ValueError as exc:
-                raise ValueError(f"{var}: {exc}") from None
+                value = json.loads(raw)
+            except json.JSONDecodeError:
+                value = raw
+            out[var[len(ENV_PREFIX):].lower()] = value
     return out
 
 
@@ -66,10 +65,9 @@ def _load_base(args) -> dict:
 
 
 def _apply_flags(base: dict, args, task: str | None) -> dict:
-    base = dict(base)
+    base = {**base, **_env_overrides()}
     if task is not None:
         base["task"] = task
-    base.update(_env_overrides())
     for name in ("seed", "replicates", "max_iters"):
         val = getattr(args, name, None)
         if val is not None:

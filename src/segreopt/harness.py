@@ -59,7 +59,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_field_types(self)
-        object.__setattr__(self, "dims", tuple(int(p) for p in self.dims))
         if self.task not in ("decompose", "regress"):
             raise ValueError(f"unknown task {self.task!r}")
         if len(self.dims) < 2 or min(self.dims) < 1:
@@ -100,12 +99,10 @@ class ExperimentConfig:
             raise ValueError("need at least one replicate")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.methods or any(m not in METHODS for m in self.methods):
-            raise ValueError(f"methods must be a nonempty selection from {METHODS}")
+        if not self.methods or len(set(self.methods) & set(METHODS)) < len(self.methods):
+            raise ValueError(f"methods must be a nonempty selection from {METHODS} without "
+                             f"repeats, got {self.methods}")
         self.solver_config(self.methods[0])  # checks the solver fields' ranges
-        object.__setattr__(self, "methods", tuple(self.methods))
-        if self.cpca_split is not None:
-            object.__setattr__(self, "cpca_split", tuple(self.cpca_split))
 
     def solver_config(self, method: str) -> SolverConfig:
         """The settings of every run of ``method`` in this experiment."""
@@ -118,9 +115,7 @@ class ExperimentConfig:
         return max(self.dims)
 
     def sample_size(self) -> int:
-        if self.n_samples is not None:
-            return int(self.n_samples)
-        return int(math.floor(2.0 * self.pbar**1.5 * self.rank))
+        return self.n_samples or math.floor(2.0 * self.pbar**1.5 * self.rank)
 
     def to_dict(self) -> dict:
         """Every field by name, tuples as lists (the inverse of :meth:`from_dict`)."""
@@ -380,7 +375,7 @@ def load_preset(name: str) -> dict:
 def config_from_preset(name: str, **overrides) -> ExperimentConfig:
     d = load_preset(name)
     d.pop("grid", None)
-    d.update({k: v for k, v in overrides.items() if v is not None})
+    d.update(overrides)
     return ExperimentConfig.from_dict(d)
 
 

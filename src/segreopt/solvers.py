@@ -126,13 +126,18 @@ def _check_field_types(obj) -> None:
     """Raise ``ValueError`` on the first field of the dataclass ``obj`` whose
     value is not of its annotated type: ``int``, ``float``, ``bool`` or
     ``str``, ``tuple[T, ...]`` (a list or tuple of ``T``), or one of these
-    ``| None``."""
+    ``| None``.  Store each value as that type (a list as a tuple)."""
     for name, item, listed, nullable, kind in _field_types(type(obj)):
         v = getattr(obj, name)
-        ok = (isinstance(v, (list, tuple)) and all(_is_kind(x, item) for x in v) if listed
-              else _is_kind(v, item))
-        if not (ok or v is None and nullable):
+        if v is None and nullable:
+            continue
+        if not (isinstance(v, (list, tuple)) and all(_is_kind(x, item) for x in v) if listed
+                else _is_kind(v, item)):
             raise ValueError(f"{name} must be {kind}, got {v!r}")
+        try:
+            object.__setattr__(obj, name, tuple(map(item, v)) if listed else item(v))
+        except OverflowError:
+            raise ValueError(f"{name} is out of a float's range, got {v!r}") from None
 
 
 @dataclass(frozen=True)

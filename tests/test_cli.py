@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,6 +7,7 @@ import pytest
 
 import segreopt
 from segreopt.cli import main
+from segreopt.harness import ExperimentConfig
 
 
 def test_decompose_smoke(tmp_path, capsys):
@@ -85,10 +87,13 @@ def test_missing_preset_and_config_errors(tmp_path):
     ({}, ["bench", "--config", "{string_top}"]),
     ({}, ["decompose", "--preset", "smoke-decompose", "--seed", "-1"]),
     ({"SEGREOPT_SEED": "-3"}, ["regress", "--preset", "smoke-regress"]),
+    ({}, ["decompose", "--preset", "smoke-decompose", "--method", "rgn", "--method", "rgn"]),
+    ({"SEGREOPT_METHODS": '["als", "als"]'}, ["bench", "--preset", "smoke-decompose"]),
+    ({"SEGREOPT_RANK": "[2]"}, ["decompose", "--preset", "smoke-decompose"]),
 ], ids=["env-rho", "env-seed", "bench-replicates", "missing-config", "bad-json-config",
         "env-noise-nan", "env-kappa-inf", "string-rank-config", "string-flag-config",
         "list-config", "number-config", "string-config", "negative-seed-flag",
-        "env-negative-seed"])
+        "env-negative-seed", "repeated-method-flag", "env-repeated-method", "env-list-rank"])
 def test_bad_configuration_ends_in_error_line(tmp_path, monkeypatch, capsys, env, argv):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
@@ -113,6 +118,62 @@ def test_bad_configuration_ends_in_error_line(tmp_path, monkeypatch, capsys, env
     if "_top" in argv[-1]:
         assert "must be a JSON object" in err and paths[argv[-1][1:-1]] in err
     assert not out.exists()
+
+
+# per field, a valid value that differs from the base config of the test below
+ENV_VALUES = {
+    "task": "regress", "dims": [3, 4, 5], "rank": 1, "rho": 0.5,
+    "weight_law": "geometric-kappa", "kappa": 2.5, "noise_sd": 0.25, "n_samples": 40,
+    "methods": ["als"], "init_method": "cpca", "init_refine_sweeps": 2, "cpca_split": [0],
+    "replicates": 2, "seed": 5, "max_iters": 3, "step_size": 0.5, "stop_tol": 1e-9,
+    "pinv_tol": 1e-8, "gauss_seidel": True,
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ExperimentConfig)])
+def test_every_field_set_from_environment(tmp_path, monkeypatch, field):
+    # `bench` takes even the task from the environment; strings go in as
+    # bare text, everything else as JSON
+    base = {"task": "decompose", "dims": [4, 4, 4], "rank": 2, "methods": ["rgn"],
+            "replicates": 1, "max_iters": 1}
+    value = ENV_VALUES[field]
+    assert value != ExperimentConfig.from_dict(base).to_dict()[field]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base))
+    monkeypatch.setenv("SEGREOPT_" + field.upper(),
+                       value if isinstance(value, str) else json.dumps(value))
+    out = tmp_path / "o"
+    assert main(["bench", "--config", str(path), "--out", str(out)]) == 0
+    (cell,) = os.listdir(out)
+    manifest = json.loads((out / cell / "manifest.json").read_text())
+    assert manifest["config"][field] == value
+
+
+def test_flags_and_subcommand_override_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("SEGREOPT_TASK", "regress")
+    monkeypatch.setenv("SEGREOPT_REPLICATES", "2")
+    out = tmp_path / "o"
+    assert main(["decompose", "--preset", "smoke-decompose", "--out", str(out),
+                 "--replicates", "1", "--max-iters", "1"]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["task"], config["replicates"]) == ("decompose", 1)
+
+
+def test_unknown_environment_variable_ends_in_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SEGREOPT_BOGUS", "1")
+    out = tmp_path / "o"
+    assert main(["decompose", "--preset", "smoke-decompose", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown config key(s): bogus\n"
+    assert not out.exists()
+
+
+def test_environment_grid_expanded_by_bench(tmp_path, monkeypatch):
+    monkeypatch.setenv("SEGREOPT_GRID", '{"noise_sd": [0, 0.5]}')
+    out = tmp_path / "o"
+    assert main(["bench", "--preset", "smoke-decompose", "--out", str(out),
+                 "--replicates", "1", "--max-iters", "1"]) == 0
+    # a JSON integer in a float field is stored, and so named, as a float
+    assert sorted(os.listdir(out)) == ["noise0.0_rho0.0", "noise0.5_rho0.0"]
 
 
 def test_overflowing_observations_recorded_per_replicate(tmp_path, monkeypatch, capsys):

@@ -427,14 +427,17 @@ class TestPresets:
                                               ("init_method", 2), ("cpca_split", (0, 1.0)),
                                               ("cpca_split", 0), ("step_size", "0.2"),
                                               ("stop_tol", None), ("pinv_tol", "1e-10"),
-                                              ("seed", -1)])
+                                              ("seed", -1),
+                                              pytest.param("noise_sd", 10**400, id="noise_sd-huge"),
+                                              ("methods", ("als", "als"))])
     def test_out_of_range_config_rejected(self, field, value):
         # checked at construction, before any instance is built; the base
         # config's adjoint-cpca init is out of range for a decompose task,
         # and its step size is checked although only ALS runs; rank 5 does
         # not fit the (16, 4) unfolding of the spectral start.  Each field
         # takes only its own type: integers (numpy's too, not bool), real
-        # numbers (not bool), a bool, strings, and lists of these
+        # numbers (not bool) that a float can hold, a bool, strings, and
+        # lists of these; a method listed twice once ran twice per replicate
         base = {"task": "regress", "dims": (4, 4, 4), "init_method": "adjoint-cpca",
                 "methods": ("als",)}
         with pytest.raises(ValueError, match=field):
@@ -456,6 +459,31 @@ class TestPresets:
                                noise_sd=np.float64(0.5), kappa=np.float32(2.0),
                                n_samples=np.int32(40), seed=np.uint8(3), replicates=1)
         assert cfg.dims == (3, 4, 5) and gen_instance(cfg, 0).y.shape == (40,)
+
+    def test_numpy_config_writes_strict_json_manifest(self, tmp_path):
+        # numpy scalars are stored as Python numbers; once json.dump failed
+        # on an int64 after every solve, leaving a truncated manifest
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        cfg = ExperimentConfig(task="decompose", dims=(np.int64(4),) * 3, rank=np.int64(2),
+                               noise_sd=np.float32(0.5), replicates=np.int8(1), max_iters=2,
+                               methods=("rgn",), cpca_split=[np.int16(0)])
+        assert [type(v) for v in (cfg.dims[0], cfg.rank, cfg.noise_sd, cfg.replicates)] == [
+            int, int, float, int]
+        run_experiment(cfg, tmp_path / "o")
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(),
+                              parse_constant=reject)
+        assert ExperimentConfig.from_dict(manifest["config"]) == cfg
+
+    def test_values_stored_as_annotated_type(self):
+        cfg = ExperimentConfig(task="decompose", dims=[4, 4, 4], noise_sd=1, kappa=2,
+                               methods=["rgn"], cpca_split=[0])
+        assert (cfg.dims, cfg.methods, cfg.cpca_split) == ((4, 4, 4), ("rgn",), (0,))
+        assert type(cfg.noise_sd) is float and type(cfg.kappa) is float
+        assert hash(cfg) == hash(ExperimentConfig(task="decompose", dims=(4, 4, 4),
+                                                  noise_sd=1.0, kappa=2.0, methods=("rgn",),
+                                                  cpca_split=(0,)))
 
     @pytest.mark.parametrize("task, rank, kappa", [("decompose", 3, 1e300), ("regress", 4, 1e300),
                                                    ("regress", 5, 1e300), ("decompose", 3, 1e153)])
@@ -494,3 +522,9 @@ class TestPresets:
         cfg = config_from_preset("smoke-decompose", seed=99, replicates=1)
         assert cfg.seed == 99
         assert cfg.replicates == 1
+
+    def test_none_override_applies(self):
+        # once dropped, leaving the preset's coherent factors in place
+        assert config_from_preset("regress-coherent", rho=None).rho is None
+        with pytest.raises(ValueError, match="seed must be an integer, got None"):
+            config_from_preset("smoke-decompose", seed=None)

@@ -112,6 +112,13 @@ def test_init_spec_field_rejected(field, value):
         InitSpec(**{field: value})
 
 
+def test_init_spec_stores_split_as_tuple():
+    # a list split once left the spec unhashable and unequal to its tuple twin
+    spec = InitSpec(method="cpca", cpca_split=[0])
+    assert spec == InitSpec(method="cpca", cpca_split=(0,))
+    assert hash(spec) == hash(InitSpec(method="cpca", cpca_split=(0,)))
+
+
 def test_negative_init_seed_named():
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -2"):
         init_decomposition(np.ones((2, 2, 2)), 1, InitSpec(seed=-2))
