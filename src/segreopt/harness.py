@@ -68,7 +68,7 @@ class ExperimentConfig:
         if self.n_samples is not None and self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.rho is not None and not 0 <= self.rho < 1:
-            raise ValueError("coherence must lie in [0, 1)")
+            raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
         if self.rho is not None and self.rank > min(self.dims):
             raise ValueError(f"rank {self.rank} exceeds dimension {min(self.dims)} (rho is set)")
         if self.weight_law not in ("unif-scaled", "geometric-kappa"):
@@ -96,7 +96,7 @@ class ExperimentConfig:
         if _init_method(self) != "random":
             unfolding_split(self.dims, self.rank, self.cpca_split)
         if self.replicates < 1:
-            raise ValueError("need at least one replicate")
+            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.methods or len(set(self.methods) & set(METHODS)) < len(self.methods):

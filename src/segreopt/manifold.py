@@ -363,7 +363,25 @@ def align_and_error(estimate: CPModel, truth: CPModel) -> ErrorReport:
     lowest index pair).  Matched estimates get their weight sign flipped so
     each pairs nonnegatively with its truth component.  Reported errors:
     ``max_i ||E_i - T_i|| / |lam_i|`` over matched pairs, and the relative
-    Frobenius error of the summed aligned estimate.
+    Frobenius error of the summed aligned estimate.  This is the batch of
+    one of :func:`_align_batch`, which holds the method.
+    """
+    rel, max_err, perm, flips = _align_batch([estimate], truth)
+    return ErrorReport(
+        max_component_error=float(max_err[0]),
+        rel_frobenius_error=float(rel[0]),
+        permutation=tuple(perm[0].tolist()),
+        sign_flips=tuple(flips[0].tolist()),
+        estimate=estimate,
+    )
+
+
+def _align_batch(estimates: list[CPModel], truth: CPModel
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`align_and_error` of every model of ``estimates`` against
+    ``truth``, in one pass of array operations over the ``n`` models: the
+    relative Frobenius and maximum component errors ``(n,)``, the
+    permutations ``(n, r)`` and the sign flips ``(n, r)``.
 
     No dense tensor is formed.  With the factor signs of each aligned
     ``E_i = a_i u_0 ⊗ ... ⊗ u_{d-1}`` chosen so that every ``<u_k, x_k> >= 0``
@@ -374,47 +392,49 @@ def align_and_error(estimate: CPModel, truth: CPModel) -> ErrorReport:
     rank-one terms are products of per-mode factor inner products, so the
     Gram matrix of all ``r (d + 1)`` terms gives each ``||E_i - T_i||^2``
     (its diagonal blocks) and ``||sum_i (E_i - T_i)||^2`` (its sum), in
-    ``O(r^2 d^2 sum_k p_k)``.
+    ``O(r^2 d^2 sum_k p_k)`` per model.  Every product is a batched
+    ``matmul``, and the greedy matching takes ``r`` rounds of one ``argmax``
+    per model.
     """
-    if estimate.rank != truth.rank:
-        raise ValueError(f"rank mismatch: {estimate.rank} vs {truth.rank}")
-    if estimate.shape != truth.shape:
-        raise ValueError(f"shape mismatch: {estimate.shape} vs {truth.shape}")
-    r, d = truth.rank, len(truth.shape)
-    xs = truth.factors
-    grams = [u.T @ x for u, x in zip(estimate.factors, xs)]
-    corr = np.abs(np.prod(grams, axis=0))
-    perm = [-1] * r
-    scratch = corr.copy()
+    for estimate in estimates:
+        if estimate.rank != truth.rank:
+            raise ValueError(f"rank mismatch: {estimate.rank} vs {truth.rank}")
+        if estimate.shape != truth.shape:
+            raise ValueError(f"shape mismatch: {estimate.shape} vs {truth.shape}")
+    r, d, n = truth.rank, len(truth.shape), len(estimates)
+    xs, b = truth.factors, truth.weights
+    models = np.arange(n)
+    weights = np.stack([e.weights for e in estimates])  # (n, r)
+    factors = [np.stack([e.factors[k] for e in estimates]) for k in range(d)]  # (n, p_k, r)
+    grams = np.stack([np.matmul(u.transpose(0, 2, 1), x) for u, x in zip(factors, xs)])
+    scratch = np.abs(np.prod(grams, axis=0))  # (n, r, r)
+    perm = np.empty((n, r), dtype=np.intp)
     for _ in range(r):
-        i, j = np.unravel_index(int(np.argmax(scratch)), scratch.shape)
-        perm[j] = int(i)
-        scratch[i, :] = -1.0
-        scratch[:, j] = -1.0
+        i, j = np.divmod(np.argmax(scratch.reshape(n, r * r), axis=1), r)
+        perm[models, j] = i
+        scratch[models, i, :] = -1.0
+        scratch[models, :, j] = -1.0
 
-    a, b = estimate.weights[perm], truth.weights
-    us = [u[:, perm] for u in estimate.factors]
-    inner = np.array([g[perm, range(r)] for g in grams])  # <u_k, x_k> per mode and pair
+    a = np.take_along_axis(weights, perm, axis=1)
+    us = [np.take_along_axis(u, perm[:, None, :], axis=2) for u in factors]
+    # <u_k, x_k> per mode, model and pair
+    inner = grams[:, models[:, None], perm, np.arange(r)]
     flips = np.where(a * b * np.prod(inner, axis=0) < 0, -1, 1)
     signs = np.where(inner < 0, -1.0, 1.0)
-    us = [u * s for u, s in zip(us, signs)]
+    us = [u * s[:, None, :] for u, s in zip(us, signs)]
     a = a * flips * np.prod(signs, axis=0)
 
-    # Gram matrix of the difference terms, ordered term-major: column
+    # Gram matrices of the difference terms, ordered term-major: column
     # t * r + i is term t of pair i (t = 0 the weight term, t = k + 1 mode k's)
-    coef = np.concatenate([a - b] + [b] * d)
-    gram = np.outer(coef, coef)
+    coef = np.concatenate([a - b] + [np.broadcast_to(b, a.shape)] * d, axis=1)
+    gram = coef[:, :, None] * coef[:, None, :]
     for k, (u, x) in enumerate(zip(us, xs)):
-        f = np.hstack([u] + [x if k < t else u - x if k == t else u for t in range(d)])
-        gram *= f.T @ f
-    comp_sq = np.einsum("siti->i", gram.reshape(d + 1, r, d + 1, r))
+        x = np.broadcast_to(x, u.shape)
+        f = np.concatenate([u] + [x if k < t else u - x if k == t else u for t in range(d)],
+                           axis=2)
+        gram *= np.matmul(f.transpose(0, 2, 1), f)
+    comp_sq = np.einsum("nsiti->ni", gram.reshape(n, d + 1, r, d + 1, r))
     truth_sq = b @ np.prod([x.T @ x for x in xs], axis=0) @ b
-    max_err = float(np.max(np.sqrt(np.maximum(comp_sq, 0.0)) / np.abs(b)))
-    rel = math.sqrt(max(float(gram.sum()), 0.0)) / math.sqrt(truth_sq)
-    return ErrorReport(
-        max_component_error=max_err,
-        rel_frobenius_error=rel,
-        permutation=tuple(perm),
-        sign_flips=tuple(int(s) for s in flips),
-        estimate=estimate,
-    )
+    max_err = np.max(np.sqrt(np.maximum(comp_sq, 0.0)) / np.abs(b), axis=1)
+    rel = np.sqrt(np.maximum(gram.reshape(n, -1).sum(axis=1), 0.0)) / math.sqrt(truth_sq)
+    return rel, max_err, perm, flips

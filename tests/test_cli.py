@@ -90,10 +90,12 @@ def test_missing_preset_and_config_errors(tmp_path):
     ({}, ["decompose", "--preset", "smoke-decompose", "--method", "rgn", "--method", "rgn"]),
     ({"SEGREOPT_METHODS": '["als", "als"]'}, ["bench", "--preset", "smoke-decompose"]),
     ({"SEGREOPT_RANK": "[2]"}, ["decompose", "--preset", "smoke-decompose"]),
+    ({"SEGREOPT_REPLICATES": "0"}, ["decompose", "--preset", "smoke-decompose"]),
 ], ids=["env-rho", "env-seed", "bench-replicates", "missing-config", "bad-json-config",
         "env-noise-nan", "env-kappa-inf", "string-rank-config", "string-flag-config",
         "list-config", "number-config", "string-config", "negative-seed-flag",
-        "env-negative-seed", "repeated-method-flag", "env-repeated-method", "env-list-rank"])
+        "env-negative-seed", "repeated-method-flag", "env-repeated-method", "env-list-rank",
+        "env-replicates"])
 def test_bad_configuration_ends_in_error_line(tmp_path, monkeypatch, capsys, env, argv):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
@@ -115,6 +117,8 @@ def test_bad_configuration_ends_in_error_line(tmp_path, monkeypatch, capsys, env
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    # a bad environment value is named by its field
+    assert all(name.removeprefix("SEGREOPT_").lower() in err for name in env)
     if "_top" in argv[-1]:
         assert "must be a JSON object" in err and paths[argv[-1][1:-1]] in err
     assert not out.exists()

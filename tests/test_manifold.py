@@ -12,6 +12,7 @@ from segreopt.manifold import (
     CPModel,
     DegenerateInputError,
     TangentBasis,
+    _align_batch,
     align_and_error,
     embed_tangent,
     incoherence,
@@ -551,7 +552,7 @@ class TestAlignAndError:
 
 
     def test_aligned_is_built_on_first_access(self, monkeypatch):
-        # a trace row reads only the errors: no model is built per row
+        # scoring reads only the errors: no model is built per report
         rng = np.random.default_rng(26)
         truth = self._model(rng)
         est = CPModel.from_factors(-truth.weights[::-1], [u[:, ::-1] for u in truth.factors])
@@ -565,6 +566,55 @@ class TestAlignAndError:
         assert built == [1] and rep.aligned is aligned
         assert rep.permutation == (2, 1, 0) and rep.sign_flips == (-1, -1, -1)
         assert np.array_equal(aligned.weights, truth.weights)
+
+
+class TestBatchedScoring:
+    """``_align_batch``, which scores a run's trace, row by row against
+    ``align_and_error``.  A mutation this must catch: dropping the column
+    exclusion ``scratch[models, :, j] = -1.0`` from the batched matching,
+    which then matches two estimate components to one truth component."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.lists(st.integers(2, 7), min_size=2, max_size=4, unique=True),
+        r=st.integers(1, 4),
+        # per estimate, the log10 of its perturbation; None for an exact copy
+        log_scales=st.lists(st.one_of(st.none(), st.floats(-15.0, 0.5)), min_size=1, max_size=6),
+    )
+    def test_batch_matches_align_and_error_per_model(self, seed, shape, r, log_scales):
+        rng = np.random.default_rng(seed)
+        truth = CPModel.from_factors(
+            rng.choice([-1.0, 1.0], r) * rng.uniform(0.5, 3.0, r),
+            [u / np.linalg.norm(u, axis=0) for u in (rng.standard_normal((p, r)) for p in shape)])
+        estimates = []
+        for log_scale in log_scales:
+            # a permuted, sign-flipped and perturbed copy of the truth
+            eps = 0.0 if log_scale is None else 10.0**log_scale
+            perm = rng.permutation(r)
+            signs = rng.choice([-1.0, 1.0], (len(shape), r))
+            factors = [u[:, perm] * s + eps * rng.standard_normal(u.shape)
+                       for u, s in zip(truth.factors, signs)]
+            weights = (truth.weights[perm] * np.prod(signs, axis=0)
+                       * (1.0 + eps * rng.standard_normal(r)))
+            estimates.append(CPModel.from_factors(
+                weights, [u / np.linalg.norm(u, axis=0) for u in factors]))
+        batch = _align_batch(estimates, truth)
+        for t, est in enumerate(estimates):
+            rel, max_err, perm, flips = (a[t] for a in batch)
+            want = align_and_error(est, truth)
+            assert sorted(perm.tolist()) == list(range(r))
+            assert rel == want.rel_frobenius_error
+            assert max_err == want.max_component_error
+            assert tuple(perm.tolist()) == want.permutation
+            assert tuple(flips.tolist()) == want.sign_flips
+
+    def test_models_of_another_rank_rejected(self):
+        rng = np.random.default_rng(27)
+        truth = dense.stack(random_point(rng, (3, 4)) for _ in range(2))
+        with pytest.raises(ValueError, match="rank mismatch"):
+            _align_batch([truth, dense.columns(truth)[0]], truth)
+
 
 class TestPerturbationBounds:
     """Numerical checks of the tangent-space perturbation inequalities."""

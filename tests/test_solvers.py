@@ -161,6 +161,12 @@ class TestProblem:
         with pytest.raises(ValueError, match="rank must be an integer >= 1"):
             Problem(op=IdentityOp((2, 3)), y=np.ones(6), rank=rank)
 
+    @pytest.mark.parametrize("shape, rank", [((2, 3), 2), ((3, 2), 1)])
+    def test_truth_of_another_rank_or_shape_rejected(self, shape, rank):
+        truth = dense.point(1.0, [np.eye(p)[0] for p in shape])
+        with pytest.raises(ValueError, match="^truth of rank 1 and shape"):
+            Problem(op=IdentityOp((2, 3)), y=np.ones(6), rank=rank, truth=truth)
+
 
 class TestTangentLeastSquares:
     def test_identity_reduces_to_projection(self):
@@ -548,6 +554,52 @@ class TestRun:
             run(prob, SolverConfig(method="rgn", max_iters=5), point)
         assert exc_info.value.trace is not None
         assert len(exc_info.value.trace.records) >= 1
+
+    def test_failed_run_trace_is_scored(self):
+        # the degenerate update above, with a truth attached
+        e1, e2 = np.eye(2)
+        point, truth = dense.point(1.0, (e1, e1)), dense.point(1.0, (e2, e2))
+        prob = Problem(op=IdentityOp((2, 2)), y=truth.embed().ravel(), rank=1, truth=truth)
+        with pytest.raises(SolverError, match="component 0") as exc_info:
+            run(prob, SolverConfig(method="rgn", max_iters=5), point)
+        (row,) = exc_info.value.trace.records
+        want = align_and_error(point, truth)
+        assert (row.rel_fro_err, row.max_comp_err) == (want.rel_frobenius_error,
+                                                       want.max_component_error)
+
+    @pytest.mark.parametrize("failure", ["step", "divergence"])
+    def test_trace_of_run_failing_partway_is_scored(self, monkeypatch, failure):
+        # the 40th step raises, or leaves a non-finite residual; every row of
+        # the trace the error carries, in every batch it is scored in, is
+        # scored like align_and_error
+        import segreopt.solvers as solvers
+
+        rng = np.random.default_rng(17)
+        truth = dense.orthogonal_model(rng, (5, 4, 3), 2, [3.0, 2.0])
+        prob = identity_problem(truth, 0.1 * rng.standard_normal(truth.shape))
+        init = perturbed(truth, 0.3, rng)
+        models = [init]
+
+        def failing(state, problem, alpha):
+            new = rgd_step(state, problem, alpha)
+            if new.iteration == 40:
+                if failure == "step":
+                    raise SolverError("update of component 1 failed", component=1)
+                new = dataclasses.replace(new, residual=np.full_like(new.residual, np.inf))
+            models.append(new.model)
+            return new
+
+        monkeypatch.setattr(solvers, "rgd_step", failing)
+        with pytest.raises(SolverError, match="component 1" if failure == "step" else "diverged"
+                           ) as exc_info:
+            run(prob, SolverConfig(method="rgd", max_iters=50), init)
+        rows = exc_info.value.trace.records
+        assert [r.iteration for r in rows] == list(range(len(models)))
+        assert len(rows) == (40 if failure == "step" else 41)
+        for row, model in zip(rows, models):
+            want = align_and_error(model, truth)
+            assert (row.rel_fro_err, row.max_comp_err) == (want.rel_frobenius_error,
+                                                           want.max_component_error)
 
     def test_trace_csv_contract(self, tmp_path):
         rng = np.random.default_rng(16)
